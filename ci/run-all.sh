@@ -16,11 +16,17 @@
 #   6. the ThreadSanitizer engine job (ci/tsan-engine.sh — the
 #      sharded parallel engine's byte-identity suite and saturated
 #      soak; shares the sanitizer build with the sweep job),
-#   7. the AddressSanitizer fault soak (ci/asan-fault-soak.sh).
+#   7. the AddressSanitizer fault soak (ci/asan-fault-soak.sh),
+#   8. the repository benchmark's determinism self-test
+#      (perfbench/selftest.py — every simulated result of every
+#      workload must be identical across repetitions, tenants and
+#      traced/untraced runs, so a host-only change that perturbs a
+#      simulated result fails here).
 #
 # Pass --quick to run only the tier-1 suite, the bench smoke, the
-# serve soak, and a one-point-per-mode torture subset (the
-# sanitizer jobs rebuild the world and dominate wall clock).
+# serve soak, a one-point-per-mode torture subset and the benchmark
+# self-test (the sanitizer jobs rebuild the world and dominate wall
+# clock).
 #
 # Usage: ci/run-all.sh [--quick]
 
@@ -59,5 +65,8 @@ if [[ "$QUICK" == "0" ]]; then
     echo "==> asan fault soak"
     ci/asan-fault-soak.sh
 fi
+
+echo "==> benchmark self-test (simulated results are deterministic)"
+python3 perfbench/selftest.py
 
 echo "==> all CI jobs passed"

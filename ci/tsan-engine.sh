@@ -7,10 +7,13 @@
 # tests, the mid-campaign removal test, and the saturated
 # multi-thread soak (which keeps every worker contending on shared
 # boundary lanes) — plus the thread-parameterized quiescence
-# equivalence tests, under ThreadSanitizer. Any unsynchronized
-# access in the tick pool, the deferred-activation exchange, the
-# chunked phase-2 commit, or the scratch-metrics flush fails the
-# job.
+# equivalence tests, the tick-pool tests (including the growing-batch
+# straggler stress test) and the concurrent checkpoint-writer tests
+# (four threads writing durable checkpoints at once), under
+# ThreadSanitizer. Any unsynchronized access in the tick pool, the
+# deferred-activation exchange, the chunked phase-2 commit, the
+# scratch-metrics flush, or the checkpoint write-fault hook fails
+# the job.
 #
 # Usage: ci/tsan-engine.sh [build-dir]   (default: build-tsan)
 # (Shares build-tsan with ci/tsan-sweep.sh by default: same
@@ -26,4 +29,4 @@ cmake -B "$BUILD" -S . \
     -DMETRO_TSAN=ON
 cmake --build "$BUILD" -j "$(nproc)" --target metro_tests
 ctest --test-dir "$BUILD" --output-on-failure \
-    -R 'Shard|QuiescenceAtThreads'
+    -R 'Shard|QuiescenceAtThreads|Pool\.|ConcurrentCheckpointWriters'

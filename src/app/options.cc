@@ -173,6 +173,9 @@ usageText()
         "  --json                emit sweep results as JSON\n"
         "  --timing              include wall-clock metadata in "
         "JSON\n"
+        "  --profile             print per-phase engine host time "
+        "(us/cycle)\n"
+        "                        to stderr after the run\n"
         "  --metrics-json        include per-point metrics blobs "
         "(implies --json)\n"
         "  --trace-connections=PATH  write a chrome://tracing JSON\n"
@@ -267,6 +270,8 @@ parseOptions(int argc, const char *const *argv, std::string &error)
             opts.json = true;
         } else if (key == "--timing") {
             opts.timing = true;
+        } else if (key == "--profile") {
+            opts.profile = true;
         } else if (key == "--metrics-json") {
             opts.metricsJson = true;
             opts.json = true;
@@ -1133,6 +1138,48 @@ writeConnectionTrace(const std::vector<SweepPoint> &points,
     out << tracer.chromeTraceJson();
 }
 
+/** The --profile report: host µs per simulated cycle per engine
+ *  phase, summed over every instance that ran. */
+std::string
+engineProfileText(const EngineProfile &p)
+{
+    std::ostringstream out;
+    const double cycles =
+        p.cycles == 0 ? 1.0 : static_cast<double>(p.cycles);
+    std::uint64_t total = 0;
+    for (const std::uint64_t ns : p.ns)
+        total += ns;
+    char line[96];
+    std::snprintf(line, sizeof(line),
+                  "engine profile: %llu cycles, %.3f us/cycle\n",
+                  static_cast<unsigned long long>(p.cycles),
+                  static_cast<double>(total) / 1e3 / cycles);
+    out << line;
+    for (unsigned k = 0; k < EngineProfile::kPhases; ++k) {
+        if (p.ns[k] == 0)
+            continue;
+        std::snprintf(line, sizeof(line),
+                      "  %-20s %10.3f us/cycle %6.1f%%\n",
+                      EngineProfile::kNames[k],
+                      static_cast<double>(p.ns[k]) / 1e3 / cycles,
+                      total == 0 ? 0.0
+                                 : 100.0 *
+                                       static_cast<double>(p.ns[k]) /
+                                       static_cast<double>(total));
+        out << line;
+    }
+    return out.str();
+}
+
+void
+printSweepProfile(const SweepResult &sweep)
+{
+    EngineProfile sum;
+    for (const SweepPointResult &p : sweep.points)
+        sum.add(p.profile);
+    std::fputs(engineProfileText(sum).c_str(), stderr);
+}
+
 /**
  * Service mode: one long-lived instance, every endpoint driven,
  * windowed metric deltas streamed to stdout as JSON lines. See
@@ -1186,6 +1233,9 @@ runServe(const Options &opts)
 
     if (opts.engineThreads != 1)
         engine.setThreads(opts.engineThreads);
+    EngineProfile profile;
+    if (opts.profile)
+        engine.setProfile(&profile);
 
     ServeConfig scfg;
     scfg.window = opts.window;
@@ -1256,6 +1306,10 @@ runServe(const Options &opts)
         runner.run([] { return requestedStop(); });
     if (!violation.empty())
         METRO_FATAL("serve: %s", violation.c_str());
+    if (opts.profile) {
+        engine.setProfile(nullptr);
+        std::fputs(engineProfileText(profile).c_str(), stderr);
+    }
 
     // Interrupted (SIGINT/SIGTERM): persist a final checkpoint so
     // the operator can resume. A clean --serve-cycles completion
@@ -1319,7 +1373,10 @@ runFromOptions(const Options &opts)
                                   ? opts.engineThreads
                                   : sweep_file->engineThreads;
         sopts.stopRequested = [] { return requestedStop(); };
+        sopts.profile = opts.profile;
         const auto sweep = runSweep(sweep_file->points, sopts);
+        if (opts.profile)
+            printSweepProfile(sweep);
         if (!opts.traceConnections.empty())
             writeConnectionTrace(sweep_file->points,
                                  opts.traceConnections);
@@ -1333,7 +1390,10 @@ runFromOptions(const Options &opts)
     sopts.threads = opts.threads;
     sopts.engineThreads = opts.engineThreads;
     sopts.stopRequested = [] { return requestedStop(); };
+    sopts.profile = opts.profile;
     const auto sweep = runSweep(points, sopts);
+    if (opts.profile)
+        printSweepProfile(sweep);
 
     if (!opts.traceConnections.empty())
         writeConnectionTrace(points, opts.traceConnections);

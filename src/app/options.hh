@@ -120,6 +120,10 @@ struct Options
      *  byte-identical comparison across thread counts). */
     bool timing = false;
 
+    /** Print the engine's per-phase host-time profile (µs/cycle) to
+     *  stderr after the run; never part of CSV, JSON or JSONL. */
+    bool profile = false;
+
     /** Include each point's metrics blob (word-conservation
      *  counters, connection histograms) in the output; implies
      *  --json. Metrics come from simulated events only, so output

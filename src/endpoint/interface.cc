@@ -271,6 +271,18 @@ assembleSlices(const std::vector<Symbol> &slices, unsigned slice_w,
     return out;
 }
 
+/** Every slice link of a group is asleep. An inactive link holds
+ *  only Empty symbols, so such a group reads Empty this cycle. */
+bool
+groupAsleep(const std::vector<Link *> &group)
+{
+    for (const Link *l : group) {
+        if (l->active())
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 Symbol
@@ -1010,6 +1022,11 @@ NetworkInterface::tickRecv(RecvPort &port, Cycle cycle)
 {
     if (port.links.empty())
         return;
+    // An idle receiver reading Empty does nothing, and sleeping links
+    // read Empty: skip before touching the arena. Non-Idle ports are
+    // always processed so the receive timeout fires on schedule.
+    if (port.state == RecvState::Idle && groupAsleep(port.links))
+        return;
 
     bool consistent = true;
     Symbol sym = readGroupDown(port.links, consistent);
@@ -1136,13 +1153,15 @@ NetworkInterface::tick(Cycle cycle)
         // Word conservation: census the reverse lanes of injection
         // groups the send logic did not consume this cycle (idle,
         // backoff, abort, or simply other ports) — Data arriving
-        // there evaporates. peekUp() never touches the fault PRNG,
-        // so the census is invisible to the simulation proper.
+        // there evaporates. Kind-only peeks never touch the fault
+        // PRNG, so the census is invisible to the simulation proper;
+        // a sleeping link holds no Data and is not peeked at all.
         // Slice 0 stands for the group (one logical word).
         for (std::size_t g = 0; g < out_.size(); ++g) {
             if (g == protocolRead_ || out_[g].empty())
                 continue;
-            if (out_[g].front()->peekUp().kind == SymbolKind::Data)
+            const Link *l = out_[g].front();
+            if (l->active() && l->peekKindUp() == SymbolKind::Data)
                 ++*mDiscardEp_;
         }
     }

@@ -465,7 +465,9 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
     // The common case by far: an idle port whose arriving head is
     // Empty (so there is nothing to observe, discard, or connect)
     // — the idle-timeout path only applies to non-Idle states, so
-    // skip before materializing the symbol. The check reads the
+    // skip before materializing the symbol. A sleeping (inactive)
+    // link holds only Empty symbols, so its port is skipped without
+    // touching the arena at all. Otherwise the check reads the
     // head's kind, not the lane occupancy: occupancy counts staged
     // same-cycle pushes, which another shard may be writing
     // concurrently, while the head slot is frozen for the whole of
@@ -473,7 +475,8 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
     // fault PRNG, and a Dead link's head reads Empty, so skipping
     // on kind is draw-for-draw identical to reading the symbol.
     if (fState_[p] == FwdPortState::Idle &&
-        fLink_[p]->peekKindDown() == SymbolKind::Empty)
+        (!fLink_[p]->active() ||
+         fLink_[p]->peekKindDown() == SymbolKind::Empty))
         return;
 
     const Symbol sym = fLink_[p]->headDown();
@@ -727,13 +730,15 @@ MetroRouter::tick(Cycle cycle)
         // Word conservation: census the reverse lanes no connection
         // handler consumed this cycle (freed, never-owned, or
         // just-granted ports) — Data arriving there evaporates.
-        // peekUp() never touches the fault PRNG, so the census is
-        // invisible to the simulation proper.
+        // Kind-only peeks never touch the fault PRNG, so the census
+        // is invisible to the simulation proper; a sleeping link
+        // holds no Data and is not peeked at all.
         unsigned busyPorts = 0;
         for (std::size_t b = 0; b < bLink_.size(); ++b) {
             if (bBusy_[b])
                 ++busyPorts;
             if (bLink_[b] != nullptr && !bRevRead_[b] &&
+                bLink_[b]->active() &&
                 bLink_[b]->peekKindUp() == SymbolKind::Data) {
                 ++*mDiscardRouter_;
             }

@@ -1,9 +1,12 @@
 #include "serve/checkpoint.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include <fcntl.h>
@@ -346,14 +349,9 @@ CheckpointIO::restoreArena(StateReader &r, LaneArena &a)
     }
     if (!r.ok())
         return;
-    // Derived: the sleeping-lane tally the fastpath accounting and
-    // chunked-advance threshold read.
-    a.sleepingLanes_ = 0;
-    for (std::uint8_t f : a.flags_) {
-        if ((f & LaneArena::kLanePaused) != 0 &&
-            (f & LaneArena::kLaneFrozen) == 0)
-            ++a.sleepingLanes_;
-    }
+    // Derived: the sleeping-lane tally the fastpath accounting reads
+    // and the live-lane set the advance pass walks.
+    a.rederiveFromFlags();
 }
 
 void
@@ -1585,28 +1583,65 @@ restoreCheckpointBytes(const std::uint8_t *data, std::size_t size,
 namespace
 {
 
-/** One-shot write-fault injection state (see
- *  setCheckpointWriteFault / METRO_CRASH_AT_WRITE_BYTE). */
-long long g_writeFaultBytes = -1;
-bool g_writeFaultAborts = false;
-bool g_writeFaultEnvChecked = false;
+/** One armed write fault (see setCheckpointWriteFault). */
+struct WriteFault
+{
+    unsigned long long bytes;
+    bool aborts;
+};
 
-/** Arm the abort-mode fault from the environment, once. */
+/**
+ * One-shot write-fault injection state (see setCheckpointWriteFault
+ * / METRO_CRASH_AT_WRITE_BYTE), packed into one word so arming and
+ * the one-shot consume are single atomic operations: -1 is disarmed,
+ * otherwise bytes << 1 | aborts. Writers on several threads (one
+ * checkpointing service per thread) may race for it; exactly one
+ * takes an armed fault.
+ */
+std::atomic<long long> g_writeFault{-1};
+std::once_flag g_writeFaultEnvOnce;
+
+void
+armWriteFault(long long max_bytes, bool abort_process)
+{
+    g_writeFault.store(max_bytes < 0 ? -1
+                                     : (max_bytes << 1) |
+                                           (abort_process ? 1 : 0));
+}
+
+/** Arm the abort-mode fault from the environment, exactly once per
+ *  process (and never after a programmatic setting). */
 void
 armWriteFaultFromEnv()
 {
-    if (g_writeFaultEnvChecked)
-        return;
-    g_writeFaultEnvChecked = true;
-    const char *env = std::getenv("METRO_CRASH_AT_WRITE_BYTE");
-    if (env == nullptr || *env == '\0')
-        return;
-    char *end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v >= 0) {
-        g_writeFaultBytes = v;
-        g_writeFaultAborts = true;
+    std::call_once(g_writeFaultEnvOnce, [] {
+        const char *env = std::getenv("METRO_CRASH_AT_WRITE_BYTE");
+        if (env == nullptr || *env == '\0')
+            return;
+        char *end = nullptr;
+        const long long v = std::strtoll(env, &end, 10);
+        if (end != nullptr && *end == '\0' && v >= 0)
+            armWriteFault(v, true);
+    });
+}
+
+/** Consume the armed fault if it fires on a payload of `size`
+ *  bytes: truncation below the payload size, or (abort mode) a
+ *  crash before the rename. A fault that would not fire stays
+ *  armed. */
+std::optional<WriteFault>
+takeWriteFault(std::size_t size)
+{
+    long long cur = g_writeFault.load();
+    while (cur >= 0) {
+        const WriteFault f{static_cast<unsigned long long>(cur) >> 1,
+                           (cur & 1) != 0};
+        if (f.bytes >= size && !f.aborts)
+            return std::nullopt;
+        if (g_writeFault.compare_exchange_weak(cur, -1))
+            return f;
     }
+    return std::nullopt;
 }
 
 } // namespace
@@ -1614,10 +1649,9 @@ armWriteFaultFromEnv()
 void
 setCheckpointWriteFault(long long max_bytes, bool abort_process)
 {
-    g_writeFaultBytes = max_bytes;
-    g_writeFaultAborts = abort_process;
     // A programmatic setting overrides (and suppresses) the env.
-    g_writeFaultEnvChecked = true;
+    std::call_once(g_writeFaultEnvOnce, [] {});
+    armWriteFault(max_bytes, abort_process);
 }
 
 std::string
@@ -1649,22 +1683,19 @@ writeCheckpointBytesDurably(const std::string &path,
         return "cannot open checkpoint temp file for writing: " +
                tmp;
 
-    std::size_t toWrite = bytes.size();
-    bool injectedFault = false;
-    if (g_writeFaultBytes >= 0 &&
-        static_cast<unsigned long long>(g_writeFaultBytes) <
-            bytes.size()) {
-        toWrite = static_cast<std::size_t>(g_writeFaultBytes);
-        injectedFault = true;
-    }
+    const std::optional<WriteFault> fault =
+        takeWriteFault(bytes.size());
+    const bool injectedFault =
+        fault.has_value() && fault->bytes < bytes.size();
+    const std::size_t toWrite =
+        injectedFault ? static_cast<std::size_t>(fault->bytes)
+                      : bytes.size();
 
     const std::size_t written =
         toWrite == 0 ? 0 : std::fwrite(bytes.data(), 1, toWrite, f);
 
     if (injectedFault) {
-        const bool aborts = g_writeFaultAborts;
-        g_writeFaultBytes = -1; // one-shot
-        if (aborts) {
+        if (fault->aborts) {
             // Crash injection: die mid-write, partial .tmp on disk,
             // final path untouched. fflush first so the truncation
             // is actually visible to the post-mortem.
@@ -1694,11 +1725,10 @@ writeCheckpointBytesDurably(const std::string &path,
         return "short write to checkpoint temp file: " + tmp;
     }
 
-    if (g_writeFaultBytes >= 0 && g_writeFaultAborts) {
-        // K >= payload size: the injected crash lands after the
-        // payload is durable but BEFORE the rename — the classic
-        // "checkpoint written but not installed" window.
-        g_writeFaultBytes = -1;
+    if (fault.has_value()) {
+        // K >= payload size (abort mode): the injected crash lands
+        // after the payload is durable but BEFORE the rename — the
+        // classic "checkpoint written but not installed" window.
         std::fprintf(stderr,
                      "metro_sim: injected crash before checkpoint "
                      "rename (%s)\n",

@@ -25,21 +25,28 @@
  * only committed by advance(), and at most one push per lane per
  * cycle is legal.
  *
- * advanceAll() is the engine's phase-2 batch: one pass over the
- * flat control arrays that rotates every live lane, skipping lanes
- * whose owning link is asleep (paused) or unregistered (frozen) and
- * fast-pathing drained lanes (rotating a ring of Empties is
- * rotationally symmetric, hence unobservable — only the staged-push
- * flag needs clearing). The rare fault-census bookkeeping a dying
- * or healing link needs (see Link::setFault) lives in a per-lane
- * 2-bit state machine so the batch loop touches one flag byte per
- * lane in the common case.
+ * advanceAll() is the engine's phase-2 batch. It visits only the
+ * *live* lanes: a word-packed live-lane set holds one bit per lane,
+ * set iff the lane is neither paused (its link is asleep) nor frozen
+ * (its link was unregistered), and the pass walks the set bits with
+ * a count-trailing-zeros loop over 64-bit words. At low load most
+ * links sleep, so the pass costs O(live lanes), not O(lanes).
+ * setPaused/setFrozen keep the set exact, and a checkpoint restore
+ * rebuilds it from the flag bytes (it is derived state, never
+ * serialized). Drained live lanes are fast-pathed: rotating a ring
+ * of Empties is rotationally symmetric, hence unobservable, so only
+ * the staged-push flag needs clearing. The rare fault-census
+ * bookkeeping a dying or healing link needs (see Link::setFault)
+ * lives in a per-lane 2-bit state machine so the batch loop touches
+ * one flag byte per lane in the common case.
  */
 
 #ifndef METRO_SIM_ARENA_HH
 #define METRO_SIM_ARENA_HH
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -90,6 +97,9 @@ class LaneArena
         pending_.emplace_back();
         pushed_.push_back(0);
         flags_.push_back(0);
+        if (id % 64 == 0)
+            live_.push_back(0);
+        syncLive(id);
         return id;
     }
 
@@ -154,17 +164,18 @@ class LaneArena
     unsigned occupied(LaneId lane) const { return occupied_[lane]; }
 
     /**
-     * The engine's phase 2: rotate every live lane in one pass over
-     * the flat control arrays. Paused (sleeping link) and frozen
-     * (unregistered link) lanes are skipped untouched; drained lanes
+     * The engine's phase 2: rotate every live lane (see the live-lane
+     * set in the file comment). Paused (sleeping link) and frozen
+     * (unregistered link) lanes are not visited at all; drained lanes
      * skip the rotation itself. When `drained` is non-null, lanes
      * whose sleep eligibility may have CHANGED this cycle are
-     * appended — lanes that just ran out of symbols, plus drained
-     * lanes that saw a push or a census step. A lane that was empty
-     * at the start of the cycle and stayed untouched is not
-     * re-reported: its link's verdict cannot differ from last
-     * cycle's (the engine separately evaluates freshly registered
-     * links, the only way an untouched lane gains a live link).
+     * appended in ascending lane order — lanes that just ran out of
+     * symbols, plus drained lanes that saw a push or a census step.
+     * A lane that was empty at the start of the cycle and stayed
+     * untouched is not re-reported: its link's verdict cannot differ
+     * from last cycle's (the engine separately evaluates freshly
+     * registered links, the only way an untouched lane gains a live
+     * link).
      */
     void
     advanceAll(std::vector<LaneId> *drained)
@@ -174,48 +185,51 @@ class LaneArena
     }
 
     /**
-     * advanceAll over the lane sub-range [begin, end) only, with
-     * the wire-discard charges routed into `discards` instead of
-     * the arena-wide counter. This is the sharded engine's phase-2
-     * unit: disjoint ranges touch disjoint per-lane state, so
-     * chunks advance concurrently, each accumulating its census
-     * charges privately for a fixed-order fold at the barrier.
+     * advanceAll over the live lanes of the sub-range [begin, end)
+     * only, with the wire-discard charges routed into `discards`
+     * instead of the arena-wide counter. This is the sharded
+     * engine's phase-2 unit: disjoint ranges touch disjoint per-lane
+     * state and only read the live-lane set, so chunks advance
+     * concurrently, each accumulating its census charges privately
+     * for a fixed-order fold at the barrier. Any split of [0, lanes)
+     * — 64-aligned or not — gives the same result as one advanceAll.
      */
     void
     advanceRange(LaneId begin, LaneId end,
                  std::vector<LaneId> *drained,
                  std::uint64_t *discards)
     {
-        for (LaneId lane = begin; lane < end; ++lane) {
-            const std::uint8_t f = flags_[lane];
-            if (f & (kLanePaused | kLaneFrozen))
-                continue;
-            if (f & kCensusMask)
-                censusStepTo(lane, discards);
-            if (occupied_[lane] == 0) {
-                // Every slot is Empty and any staged push is Empty
-                // too (a non-Empty push would have raised the
-                // occupancy), so committing and rotating would be
-                // unobservable: just drop the staged Empty so the
-                // lane accepts the next cycle's push.
-                if (drained != nullptr &&
-                    (pushed_[lane] || (f & kCensusMask)))
-                    drained->push_back(lane);
-                pushed_[lane] = 0;
-                continue;
+        if (begin >= end)
+            return;
+        const std::size_t first = begin / 64;
+        const std::size_t last = (end - 1) / 64;
+        for (std::size_t w = first; w <= last; ++w) {
+            std::uint64_t bits = live_[w];
+            if (w == first)
+                bits &= ~0ULL << (begin % 64);
+            if (w == last)
+                bits &= ~0ULL >> (63 - (end - 1) % 64);
+            while (bits != 0) {
+                const auto lane = static_cast<LaneId>(
+                    w * 64 + static_cast<unsigned>(
+                                 std::countr_zero(bits)));
+                bits &= bits - 1;
+                advanceLive(lane, drained, discards);
             }
-            Symbol &slot = slots_[head_[lane]];
-            std::uint32_t occ = occupied_[lane];
-            if (slot.kind != SymbolKind::Empty)
-                --occ;
-            slot = pushed_[lane] ? pending_[lane] : Symbol{};
-            pushed_[lane] = 0;
-            occupied_[lane] = occ;
-            const std::uint32_t next = head_[lane] + 1;
-            head_[lane] = next == end_[lane] ? base_[lane] : next;
-            if (occ == 0 && drained != nullptr)
-                drained->push_back(lane);
         }
+    }
+
+    /** The live-lane set, one bit per lane in 64-bit words (bit
+     *  lane % 64 of word lane / 64; bits past lanes() are clear).
+     *  Read-only to the engine, which cuts phase-2 chunks by live
+     *  count. */
+    std::span<const std::uint64_t> liveWords() const { return live_; }
+
+    /** Whether a lane is in the live-lane set. */
+    bool
+    live(LaneId lane) const
+    {
+        return (live_[lane / 64] >> (lane % 64)) & 1;
     }
 
     /**
@@ -240,6 +254,7 @@ class LaneArena
             if (!(f & kLaneFrozen))
                 --sleepingLanes_;
         }
+        syncLive(lane);
     }
 
     void
@@ -257,12 +272,19 @@ class LaneArena
             if (f & kLanePaused)
                 ++sleepingLanes_;
         }
+        syncLive(lane);
     }
 
     bool
     paused(LaneId lane) const
     {
         return (flags_[lane] & kLanePaused) != 0;
+    }
+
+    bool
+    frozen(LaneId lane) const
+    {
+        return (flags_[lane] & kLaneFrozen) != 0;
     }
 
     /** Lanes currently paused and not frozen: what the engine's
@@ -350,6 +372,65 @@ class LaneArena
     static constexpr std::uint8_t kCensusMask = 3u << kCensusShift;
     /** @} */
 
+    /** Rotate one live lane (the body of the phase-2 pass). */
+    void
+    advanceLive(LaneId lane, std::vector<LaneId> *drained,
+                std::uint64_t *discards)
+    {
+        const std::uint8_t f = flags_[lane];
+        if (f & kCensusMask)
+            censusStepTo(lane, discards);
+        if (occupied_[lane] == 0) {
+            // Every slot is Empty and any staged push is Empty too
+            // (a non-Empty push would have raised the occupancy), so
+            // committing and rotating would be unobservable: just
+            // drop the staged Empty so the lane accepts the next
+            // cycle's push.
+            if (drained != nullptr &&
+                (pushed_[lane] || (f & kCensusMask)))
+                drained->push_back(lane);
+            pushed_[lane] = 0;
+            return;
+        }
+        Symbol &slot = slots_[head_[lane]];
+        std::uint32_t occ = occupied_[lane];
+        if (slot.kind != SymbolKind::Empty)
+            --occ;
+        slot = pushed_[lane] ? pending_[lane] : Symbol{};
+        pushed_[lane] = 0;
+        occupied_[lane] = occ;
+        const std::uint32_t next = head_[lane] + 1;
+        head_[lane] = next == end_[lane] ? base_[lane] : next;
+        if (occ == 0 && drained != nullptr)
+            drained->push_back(lane);
+    }
+
+    /** Mirror one lane's pause/freeze bits into the live-lane set. */
+    void
+    syncLive(LaneId lane)
+    {
+        const std::uint64_t bit = 1ULL << (lane % 64);
+        if (flags_[lane] & (kLanePaused | kLaneFrozen))
+            live_[lane / 64] &= ~bit;
+        else
+            live_[lane / 64] |= bit;
+    }
+
+    /** Recompute the state derived from the flag bytes — the
+     *  sleeping-lane tally and the live-lane set (checkpoint
+     *  restore). */
+    void
+    rederiveFromFlags()
+    {
+        sleepingLanes_ = 0;
+        for (LaneId lane = 0; lane < flags_.size(); ++lane) {
+            if ((flags_[lane] & (kLanePaused | kLaneFrozen)) ==
+                kLanePaused)
+                ++sleepingLanes_;
+            syncLive(lane);
+        }
+    }
+
     LaneCensus
     census(LaneId lane) const
     {
@@ -400,6 +481,9 @@ class LaneArena
     std::vector<std::uint8_t> pushed_;
     std::vector<std::uint8_t> flags_; ///< pause/freeze + census
     /** @} */
+
+    /** The live-lane set (derived from flags_; see liveWords). */
+    std::vector<std::uint64_t> live_;
 
     std::size_t sleepingLanes_ = 0;
     std::uint64_t *wireDiscards_ = nullptr;

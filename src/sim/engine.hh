@@ -8,12 +8,15 @@
  *
  *   phase 1: tick every component (order-independent — components
  *            read lane heads and push lane tails only);
- *   phase 2: advance every lane, making this cycle's pushes visible
- *            after their lane latencies elapse. This is not a
- *            per-link loop: links register their arena, and the
- *            engine makes one batched pass per arena over the flat
- *            per-lane control arrays (LaneArena::advanceAll) —
- *            for a network, one pass over one arena.
+ *   phase 2: advance every live lane, making this cycle's pushes
+ *            visible after their lane latencies elapse. This is not
+ *            a per-link loop: links register their arena, and the
+ *            engine makes one batched pass per arena
+ *            (LaneArena::advanceAll) — for a network, one pass over
+ *            one arena. The pass walks only the arena's live-lane
+ *            set (lanes whose link is neither asleep nor
+ *            unregistered), so its cost follows the live lanes, not
+ *            the network size.
  *
  * Dispatch is type-segregated: components registered consecutively
  * with the same concrete class (routers, then endpoints, then
@@ -33,8 +36,15 @@
  * (a push into an attached link, a peer handing them work, or a
  * reconfiguration/fault mutator), and drained links stop being
  * advanced (rotating an all-Empty ring is unobservable) until the
- * next push. Skipping is *exact*, not approximate: the golden
- * wire-trace and both word-conservation identities are
+ * next push. The one invariant everything here leans on: *an
+ * inactive link holds only Empty symbols* (it deactivates only once
+ * both lanes, staged pushes included, are drained, and any push or
+ * fault reactivates it first). So phase 2 leaves its lanes out of
+ * the live-lane set, and routers and network interfaces skip an
+ * Idle port on an inactive link before peeking the arena at all —
+ * non-Idle ports are still processed, so idle and receive timeouts
+ * fire on schedule. Skipping is *exact*, not approximate: the
+ * golden wire-trace and both word-conservation identities are
  * byte-/bit-identical with the scheduler on and off (regression:
  * tests/test_quiesce.cc).
  *
@@ -81,19 +91,30 @@
  * Shared metric slots are redirected to per-component scratch for
  * the duration (Component::setConcurrentMetrics) and folded back in
  * registration order by syncStats(). Phase 2 reuses the same pool
- * over contiguous, even-aligned lane ranges of the arena
- * (LaneArena::advanceRange) with per-chunk census charges and
- * drained-lane reports folded at the barrier in chunk order —
- * ascending lane order, identical to the serial pass. Quiescence
+ * over contiguous lane ranges of the arena (LaneArena::advanceRange),
+ * cut each cycle at 64-lane word boundaries so every chunk holds
+ * about the same number of *live* lanes (sleeping lanes cost
+ * nothing, so a raw lane-count split would leave chunks unbalanced),
+ * with per-chunk census charges and drained-lane reports folded at
+ * the barrier in chunk order — ascending lane order, identical to
+ * the serial pass. Quiescence
  * composes: a shard all of whose members sleep *parks* — the cycle
  * is accounted in bulk and no worker is dispatched for it.
  * setThreads(1) (the default) runs the untouched serial loop.
+ *
+ * An opt-in host-side profile (setProfile) splits wall time across
+ * the phases above. It is timing metadata only: it never feeds a
+ * simulated result or a metric snapshot, and when it is off a cycle
+ * pays one predictable branch for it.
  */
 
 #ifndef METRO_SIM_ENGINE_HH
 #define METRO_SIM_ENGINE_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <span>
@@ -109,6 +130,41 @@
 
 namespace metro
 {
+
+/**
+ * Host wall time per engine phase, accumulated over the cycles an
+ * Engine stepped while this profile was attached (Engine::setProfile).
+ * Phases a cycle does not run (the serial engine has no 1a–1c, the
+ * sharded one no single tick pass) stay 0.
+ */
+struct EngineProfile
+{
+    enum Phase : unsigned
+    {
+        SerialTick,    ///< phase 1 of the serial engine
+        ParallelTick,  ///< 1a: shards tick on the pool
+        BarrierFold,   ///< 1b: per-shard effects fold in shard order
+        SerialSection, ///< 1c: non-parallel-safe components
+        LaneAdvance,   ///< 2: live-lane advance + drained-lane folds
+        Finish,        ///< pending link verdicts + sleep pass
+        kPhases
+    };
+
+    static constexpr std::array<const char *, kPhases> kNames = {
+        "serial tick", "1a parallel tick", "1b barrier fold",
+        "1c serial section", "2 lane advance", "finish/sleep pass"};
+
+    std::array<std::uint64_t, kPhases> ns{};
+    std::uint64_t cycles = 0;
+
+    void
+    add(const EngineProfile &o)
+    {
+        for (unsigned k = 0; k < kPhases; ++k)
+            ns[k] += o.ns[k];
+        cycles += o.cycles;
+    }
+};
 
 /**
  * Owns the clock and the tick/advance loop. Links and components
@@ -341,6 +397,10 @@ class Engine : public Scheduler
         planDirty_ = true;
     }
 
+    /** Attach (or with nullptr, detach) a per-phase host-time
+     *  profile; cycles stepped while attached accumulate into it. */
+    void setProfile(EngineProfile *profile) { profile_ = profile; }
+
     /** Component ticks elided by the scheduler (monotone). */
     std::uint64_t ticksSkipped() const { return ticksSkipped_; }
 
@@ -474,10 +534,18 @@ class Engine : public Scheduler
     void
     step()
     {
-        if (threads_ > 1)
-            stepParallel();
-        else
-            stepSerial();
+        if (profile_ == nullptr) [[likely]] {
+            if (threads_ > 1)
+                stepParallel<false>();
+            else
+                stepSerial<false>();
+        } else {
+            if (threads_ > 1)
+                stepParallel<true>();
+            else
+                stepSerial<true>();
+            ++profile_->cycles;
+        }
     }
 
     /** Execute `cycles` cycles. */
@@ -540,11 +608,34 @@ class Engine : public Scheduler
         /** @} */
     };
 
+    using ProfileClock = std::chrono::steady_clock;
+
+    /** Profiled cycles only: charge the time since `t` to `phase`
+     *  and restart the lap. */
+    template <bool kProfile>
+    void
+    lap([[maybe_unused]] EngineProfile::Phase phase,
+        [[maybe_unused]] ProfileClock::time_point &t)
+    {
+        if constexpr (kProfile) {
+            const auto now = ProfileClock::now();
+            profile_->ns[phase] += static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    now - t)
+                    .count());
+            t = now;
+        }
+    }
+
     /** The serial engine's cycle (threads() == 1): the exact
      *  pre-sharding loop. */
+    template <bool kProfile>
     void
     stepSerial()
     {
+        ProfileClock::time_point t;
+        if constexpr (kProfile)
+            t = ProfileClock::now();
         stepping_ = true;
         TickContext ctx;
         ctx.cycle = now_;
@@ -556,11 +647,12 @@ class Engine : public Scheduler
         for (const auto &run : runs_)
             run.fn(base + run.begin, run.count, ctx);
         ticksSkipped_ += ctx.skipped;
+        lap<kProfile>(EngineProfile::SerialTick, t);
 
-        // Phase 2: one batched pass per arena over the flat lane
-        // arrays (LaneArena::advanceAll); sleeping links' lanes are
-        // skipped inside the pass and accounted here (two lanes per
-        // link). Lane order within an arena is link-creation order,
+        // Phase 2: one batched pass per arena over its live lanes
+        // (LaneArena::advanceAll); sleeping links' lanes are not
+        // visited and are accounted here (two lanes per link). Lane
+        // order within an arena is link-creation order,
         // observationally interchangeable with the registration
         // order the per-link loop used: lanes only interact through
         // the components that read and push them in phase 1.
@@ -589,7 +681,9 @@ class Engine : public Scheduler
                 g.arena->advanceAll(nullptr);
             }
         }
+        lap<kProfile>(EngineProfile::LaneAdvance, t);
         finishCycle();
+        lap<kProfile>(EngineProfile::Finish, t);
     }
 
     /**
@@ -603,16 +697,20 @@ class Engine : public Scheduler
      *       sleep candidates;
      *   1c. serial section: non-parallel-safe components tick in
      *       registration order, activations inline;
-     *    2. lane advance, chunked across the pool for arenas with
-     *       enough live lanes; census charges and drained reports
-     *       fold at the barrier in chunk order (= ascending lane
-     *       order, the serial pass's order).
+     *    2. lane advance, chunked across the pool by live-lane count
+     *       for arenas with enough live lanes; census charges and
+     *       drained reports fold at the barrier in chunk order (=
+     *       ascending lane order, the serial pass's order).
      */
+    template <bool kProfile>
     void
     stepParallel()
     {
         if (planDirty_)
             rebuildPlan();
+        ProfileClock::time_point t;
+        if constexpr (kProfile)
+            t = ProfileClock::now();
         stepping_ = true;
         if (quiesce_)
             sleepCandidates_.clear();
@@ -637,6 +735,7 @@ class Engine : public Scheduler
         else if (!liveShards_.empty())
             pool_.run(static_cast<unsigned>(liveShards_.size()),
                       &shardTask, this);
+        lap<kProfile>(EngineProfile::ParallelTick, t);
 
         // 1b. Barrier: fold per-shard effects in shard order.
         for (Shard *s : liveShards_) {
@@ -648,6 +747,7 @@ class Engine : public Scheduler
                                         s->candidates.begin(),
                                         s->candidates.end());
         }
+        lap<kProfile>(EngineProfile::BarrierFold, t);
 
         // 1c. Serial section, registration order.
         {
@@ -660,19 +760,18 @@ class Engine : public Scheduler
                 run.fn(base + run.begin, run.count, ctx);
             ticksSkipped_ += ctx.skipped;
         }
+        lap<kProfile>(EngineProfile::SerialSection, t);
 
         // 2. Advance, chunked where worthwhile.
         for (ArenaGroup &g : arenaGroups_) {
             linksFastpathed_ += g.arena->sleepingLanes() / 2;
-            if (g.chunks.size() > 1 &&
-                g.arena->lanes() - g.arena->sleepingLanes() >=
-                    kMinLanesForChunkedAdvance) {
+            if (cutChunks(g)) {
                 curGroup_ = &g;
-                pool_.run(static_cast<unsigned>(g.chunks.size()),
-                          &chunkTask, this);
+                pool_.run(g.liveChunks, &chunkTask, this);
                 curGroup_ = nullptr;
                 std::uint64_t *wire = g.arena->wireDiscardCounter();
-                for (LaneChunk &ch : g.chunks) {
+                for (unsigned k = 0; k < g.liveChunks; ++k) {
+                    LaneChunk &ch = g.chunks[k];
                     if (wire != nullptr)
                         *wire += ch.discards;
                     for (const LaneId lane : ch.drained)
@@ -685,7 +784,9 @@ class Engine : public Scheduler
                     evalDrainedLane(g, lane);
             }
         }
+        lap<kProfile>(EngineProfile::LaneAdvance, t);
         finishCycle();
+        lap<kProfile>(EngineProfile::Finish, t);
     }
 
     /** Shared cycle tail: pending link evaluations, the candidate
@@ -795,8 +896,10 @@ class Engine : public Scheduler
      *   4. one shard per group when they fit, else pack consecutive
      *      groups into ≤ threads balanced shards (cuts stay on
      *      group, i.e. hint, boundaries);
-     *   5. assign shard ids and awake counts; carve each arena's
-     *      lanes into even-aligned chunks for phase 2.
+     *   5. assign shard ids and awake counts.
+     *
+     * Phase-2 chunks are not part of the plan: they follow the
+     * live-lane set, so cutChunks recuts them every cycle.
      */
     void
     rebuildPlan()
@@ -933,15 +1036,12 @@ class Engine : public Scheduler
                 }
             }
         }
-
-        for (ArenaGroup &g : arenaGroups_)
-            rebuildChunks(g);
     }
 
     /** One arena's links, for the batched advance: which registered
      *  link owns each lane (null for frozen/unregistered lanes),
-     *  plus the phase-2 chunk carve-up with per-chunk fold buffers
-     *  (written by one worker each, read at the barrier). */
+     *  plus this cycle's phase-2 chunk carve-up with per-chunk fold
+     *  buffers (written by one worker each, read at the barrier). */
     struct LaneChunk
     {
         LaneId begin = 0;
@@ -955,6 +1055,8 @@ class Engine : public Scheduler
         LaneArena *arena;
         std::vector<Link *> laneOwner;
         std::vector<LaneChunk> chunks;
+        /** Chunks cut for the current cycle (prefix of chunks). */
+        unsigned liveChunks = 0;
     };
 
     /** Sleep-evaluate one freshly drained lane's link (phase-2
@@ -970,30 +1072,49 @@ class Engine : public Scheduler
         }
     }
 
-    /** Carve [0, lanes) into ≤ threads even-aligned contiguous
-     *  chunks (a link's two lanes stay together). */
-    void
-    rebuildChunks(ArenaGroup &g)
+    /**
+     * Cut this cycle's phase-2 chunks: ≤ threads contiguous lane
+     * ranges, split at 64-lane word boundaries of the live-lane set
+     * so each holds about live/threads live lanes. @return false
+     * when the arena has too few live lanes for a chunked advance to
+     * beat its dispatch cost (the caller then advances serially).
+     * The cut only moves work between workers: the fold is in lane
+     * order whatever the boundaries.
+     */
+    bool
+    cutChunks(ArenaGroup &g)
     {
-        g.chunks.clear();
+        const auto words = g.arena->liveWords();
+        std::size_t live = 0;
+        for (const std::uint64_t w : words)
+            live += static_cast<std::size_t>(std::popcount(w));
+        if (live < kMinLanesForChunkedAdvance)
+            return false;
+        if (g.chunks.size() != threads_)
+            g.chunks.resize(threads_);
         const auto lanes = static_cast<LaneId>(g.arena->lanes());
-        if (lanes == 0 || threads_ <= 1)
-            return;
-        const LaneId pairs = lanes / 2;
-        LaneId start = 0;
-        for (unsigned k = 0; k < threads_ && start < lanes; ++k) {
-            LaneId end =
-                k + 1 == threads_
-                    ? lanes
-                    : static_cast<LaneId>(
-                          (pairs * (k + 1) / threads_) * 2);
-            if (end <= start)
-                continue;
-            g.chunks.push_back({start, end, 0, {}});
-            start = end;
+        unsigned k = 0;
+        LaneId begin = 0;
+        std::size_t cum = 0;
+        for (std::size_t w = 0; w < words.size() && k + 1 < threads_;
+             ++w) {
+            cum += static_cast<std::size_t>(std::popcount(words[w]));
+            if (cum * threads_ >= live * (k + 1)) {
+                const auto end = std::min(
+                    static_cast<LaneId>((w + 1) * 64), lanes);
+                g.chunks[k].begin = begin;
+                g.chunks[k].end = end;
+                ++k;
+                begin = end;
+            }
         }
-        if (!g.chunks.empty())
-            g.chunks.back().end = lanes;
+        if (begin < lanes) {
+            g.chunks[k].begin = begin;
+            g.chunks[k].end = lanes;
+            ++k;
+        }
+        g.liveChunks = k;
+        return k > 1;
     }
 
     /** A link just deactivated: its end component is a sleep
@@ -1013,7 +1134,7 @@ class Engine : public Scheduler
             if (g.arena == arena)
                 return g;
         }
-        arenaGroups_.push_back({arena, {}, {}});
+        arenaGroups_.push_back({arena, {}, {}, 0});
         return arenaGroups_.back();
     }
 
@@ -1028,8 +1149,8 @@ class Engine : public Scheduler
     }
 
     /** Below this many live lanes, a chunked advance costs more in
-     *  dispatch than it wins (the serial pass is two streaming
-     *  array walks); small or mostly-sleeping arenas stay serial. */
+     *  dispatch than it wins; small or mostly-sleeping arenas stay
+     *  serial. */
     static constexpr std::size_t kMinLanesForChunkedAdvance = 64;
 
     std::vector<Component *> components_;
@@ -1045,6 +1166,7 @@ class Engine : public Scheduler
     bool stepping_ = false;
     std::uint64_t ticksSkipped_ = 0;
     std::uint64_t linksFastpathed_ = 0;
+    EngineProfile *profile_ = nullptr;
 
     /** Sharded execution state. @{ */
     unsigned threads_ = 1;

@@ -17,9 +17,17 @@
  *
  * A worker that oversleeps an entire epoch (the caller finished the
  * batch alone) simply waits for the next one; a worker that wakes
- * into a fresh epoch pulls from the fresh cursor. Task indices are
- * handed out exactly once per epoch by the fetch-add, so a straggler
- * can join a batch late but can never duplicate or lose a task.
+ * into a fresh epoch pulls from the fresh cursor. The cursor and the
+ * published task count both carry the batch number in their high
+ * 32 bits, so a draw is honoured only against the batch it was
+ * drawn from: a straggler whose fetch-add hit the previous batch's
+ * exhausted cursor just as the next batch was published holds an
+ * index from the old numbering, and must not run the new batch's
+ * task of that index (another thread draws it from the fresh
+ * cursor — a shard ticked twice pushes its lanes twice). Task
+ * indices are therefore handed out exactly once per batch: a
+ * straggler can join a batch late but can never duplicate or lose a
+ * task.
  */
 
 #ifndef METRO_SIM_POOL_HH
@@ -93,15 +101,16 @@ class TickPool
             return;
         }
         // Publish order matters for stragglers still parked on the
-        // previous epoch's exhausted cursor: done/fn/ctx first, the
-        // task count next, and only then the cursor reset that lets
-        // anyone pull — the acquire on the cursor RMW makes the
-        // rest visible.
+        // previous batch's exhausted cursor: done/fn/ctx first, the
+        // tagged task count next, and only then the cursor reset
+        // that lets anyone pull — the acquire on the cursor RMW
+        // makes the rest visible.
+        const std::uint64_t tag = std::uint64_t{++batch_} << 32;
         done_.store(0, std::memory_order_relaxed);
         fn_.store(fn, std::memory_order_relaxed);
         ctx_.store(ctx, std::memory_order_relaxed);
-        nTasks_.store(n, std::memory_order_release);
-        next_.store(0, std::memory_order_release);
+        nTasks_.store(tag | n, std::memory_order_release);
+        next_.store(tag, std::memory_order_release);
         {
             std::lock_guard<std::mutex> lk(m_);
             ++epoch_;
@@ -121,15 +130,17 @@ class TickPool
     pullTasks()
     {
         for (;;) {
-            const unsigned i =
+            const std::uint64_t draw =
                 next_.fetch_add(1, std::memory_order_acq_rel);
-            // Re-read the count after the cursor RMW: a straggler
-            // from the previous epoch may cross into a freshly
-            // published batch here, and must bound itself by the
-            // fresh count, not a stale one.
-            const unsigned n =
+            // Honour the draw only against the batch it came from: a
+            // straggler's fetch-add on the previous batch's cursor
+            // may race a fresh publish, and its index then names a
+            // task of the old numbering (see the file comment).
+            const std::uint64_t count =
                 nTasks_.load(std::memory_order_acquire);
-            if (i >= n)
+            const auto i = static_cast<unsigned>(draw);
+            const auto n = static_cast<unsigned>(count);
+            if ((draw >> 32) != (count >> 32) || i >= n)
                 return;
             fn_.load(std::memory_order_relaxed)(
                 ctx_.load(std::memory_order_relaxed), i);
@@ -167,12 +178,15 @@ class TickPool
     bool stop_ = false;
     /** @} */
 
-    /** The published batch. @{ */
+    /** The published batch. nTasks_ and next_ hold the batch
+     *  number (batch_) in their high 32 bits above the task count
+     *  and the cursor. @{ */
     std::atomic<TaskFn> fn_{nullptr};
     std::atomic<void *> ctx_{nullptr};
-    std::atomic<unsigned> nTasks_{0};
-    std::atomic<unsigned> next_{0};
+    std::atomic<std::uint64_t> nTasks_{0};
+    std::atomic<std::uint64_t> next_{0};
     std::atomic<unsigned> done_{0};
+    std::uint32_t batch_ = 0; ///< caller-only: batches published
     /** @} */
 
     /** Completion signalling back to the caller. @{ */

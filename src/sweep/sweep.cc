@@ -32,7 +32,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 /** Run one point on the calling thread. */
 SweepPointResult
 runPoint(const SweepPoint &point, std::uint64_t index,
-         unsigned engine_threads)
+         const SweepOptions &options)
 {
     METRO_ASSERT(static_cast<bool>(point.build),
                  "sweep point %llu (%s) has no build function",
@@ -53,8 +53,11 @@ runPoint(const SweepPoint &point, std::uint64_t index,
                  point.label.c_str());
     // Parallel engine stepping is a pure throughput knob: results
     // are byte-identical at every engine thread count.
-    if (engine_threads != 1)
-        instance.network->engine().setThreads(engine_threads);
+    Engine &engine = instance.network->engine();
+    if (options.engineThreads != 1)
+        engine.setThreads(options.engineThreads);
+    if (options.profile)
+        engine.setProfile(&out.profile);
 
     ExperimentConfig cfg = point.config;
     cfg.seed = out.seed;
@@ -69,6 +72,7 @@ runPoint(const SweepPoint &point, std::uint64_t index,
         out.result = runSessionLoop(*instance.network, cfg);
         break;
     }
+    engine.setProfile(nullptr);
     if (point.inspect)
         point.inspect(*instance.network, out.result);
     out.wallSeconds = secondsSince(t0);
@@ -138,8 +142,7 @@ runSweep(const std::vector<SweepPoint> &points,
                 cursor.fetch_add(1, std::memory_order_relaxed);
             if (i >= points.size())
                 return;
-            sweep.points[i] =
-                runPoint(points[i], i, options.engineThreads);
+            sweep.points[i] = runPoint(points[i], i, options);
         }
     };
 

@@ -123,6 +123,10 @@ struct SweepPointResult
     /** Wall-clock seconds this point took (timing metadata; kept
      *  out of deterministic report payloads). */
     double wallSeconds = 0.0;
+
+    /** Per-phase engine host time (filled only with
+     *  SweepOptions::profile; timing metadata like wallSeconds). */
+    EngineProfile profile;
 };
 
 /** Runner settings. */
@@ -143,6 +147,11 @@ struct SweepOptions
      *  unclaimed points come back with `skipped` set). The CLI
      *  wires this to the SIGINT/SIGTERM flag. */
     std::function<bool()> stopRequested;
+
+    /** Attach an EngineProfile to every point's engine (see
+     *  SweepPointResult::profile). Host timing only: results are
+     *  unchanged. */
+    bool profile = false;
 };
 
 /** An ordered sweep outcome plus whole-sweep timing metadata. */

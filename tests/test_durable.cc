@@ -22,6 +22,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "network/multibutterfly.hh"
@@ -242,6 +243,60 @@ TEST_F(DurableTest, WriteFaultIsOneShot)
     // The hook cleared itself; the retry succeeds.
     EXPECT_EQ(writeCheckpointFile(out, kDigest, inst.parts), "");
     EXPECT_TRUE(std::filesystem::exists(out));
+}
+
+TEST_F(DurableTest, ConcurrentCheckpointWritersArmTheHookOnce)
+{
+    // Four services checkpointing at once (one per thread), with no
+    // programmatic hook setting first: every writer reaches the lazy
+    // METRO_CRASH_AT_WRITE_BYTE arming together. It must arm exactly
+    // once, race-free (ci/tsan-engine.sh runs this under
+    // ThreadSanitizer), and every write must land intact.
+    const auto bytes = checkpointAfter(256);
+    constexpr unsigned kWriters = 4;
+    std::vector<std::string> errors(kWriters);
+    std::vector<std::thread> writers;
+    for (unsigned t = 0; t < kWriters; ++t) {
+        writers.emplace_back([&, t] {
+            const std::string out = path("ck" + std::to_string(t));
+            for (unsigned k = 0; k < 4; ++k)
+                errors[t] += writeCheckpointBytesDurably(out, bytes);
+        });
+    }
+    for (auto &w : writers)
+        w.join();
+    for (unsigned t = 0; t < kWriters; ++t) {
+        EXPECT_EQ(errors[t], "") << "writer " << t;
+        Instance fresh;
+        EXPECT_EQ(readCheckpointFile(path("ck" + std::to_string(t)),
+                                     kDigest, fresh.parts, nullptr),
+                  "")
+            << "writer " << t;
+        EXPECT_EQ(fresh.net->engine().now(), 256u);
+    }
+}
+
+TEST_F(DurableTest, ConcurrentCheckpointWritersConsumeTheFaultOnce)
+{
+    // The one-shot consume is atomic: of four concurrent writers,
+    // exactly one takes the armed fault.
+    const auto bytes = checkpointAfter(256);
+    constexpr unsigned kWriters = 4;
+    setCheckpointWriteFault(100, false);
+    std::vector<std::string> errors(kWriters);
+    std::vector<std::thread> writers;
+    for (unsigned t = 0; t < kWriters; ++t) {
+        writers.emplace_back([&, t] {
+            errors[t] = writeCheckpointBytesDurably(
+                path("ck" + std::to_string(t)), bytes);
+        });
+    }
+    for (auto &w : writers)
+        w.join();
+    unsigned failed = 0;
+    for (const std::string &e : errors)
+        failed += e.empty() ? 0 : 1;
+    EXPECT_EQ(failed, 1u);
 }
 
 TEST_F(DurableTest, StoreRotatesBeyondRetentionDepth)

@@ -92,6 +92,41 @@ TEST(Pool, ResizeBetweenBatches)
     }
 }
 
+/** Per-index invocation counts of the current batch. */
+struct Tally
+{
+    std::atomic<unsigned> calls[8] = {};
+};
+
+void
+tally(void *ctx, unsigned i)
+{
+    static_cast<Tally *>(ctx)->calls[i].fetch_add(
+        1, std::memory_order_relaxed);
+}
+
+TEST(Pool, GrowingBatchesNeverRerunAStragglersIndex)
+{
+    // The engine alternates batches of different sizes (live shards,
+    // then phase-2 chunks). A worker whose last draw hit an exhausted
+    // cursor just as a larger batch was published must not run the
+    // new batch's task of that index too: a shard ticked twice pushes
+    // its lanes twice. Oversubscribe the workers so preemption lands
+    // in that window, and check every index ran exactly once.
+    TickPool pool;
+    pool.resize(7);
+    const unsigned sizes[] = {2, 8, 1, 6, 3, 8, 1, 5};
+    Tally t;
+    for (unsigned batch = 0; batch < 40000; ++batch) {
+        const unsigned n = sizes[batch % 8];
+        pool.run(n, &tally, &t);
+        for (unsigned i = 0; i < 8; ++i) {
+            ASSERT_EQ(t.calls[i].exchange(0), i < n ? 1u : 0u)
+                << "batch " << batch << " index " << i;
+        }
+    }
+}
+
 TEST(Pool, ResizeToSameSizeKeepsWorkers)
 {
     Counter c;

@@ -14,12 +14,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "endpoint/interface.hh"
+#include "endpoint/message.hh"
 #include "fault/injector.hh"
 #include "network/multibutterfly.hh"
 #include "network/presets.hh"
+#include "router/router.hh"
 #include "trace/probe.hh"
 #include "traffic/experiment.hh"
 
@@ -244,6 +249,137 @@ TEST(Quiescence, RemoveLinksBatchedStopsAdvancing)
     EXPECT_EQ(b.headDown().kind, SymbolKind::Empty);
     EXPECT_EQ(c.headDown().kind, SymbolKind::Data);
     EXPECT_EQ(c.headDown().value, 0x33u);
+}
+
+/** When a stuck port's watchdog fired, and whether every lane the
+ *  port reads went to sleep while it waited. */
+struct TimeoutRun
+{
+    Cycle firedAt = 0;
+    bool linksSlept = false;
+};
+
+/**
+ * A lone router whose forward port 0 takes a header and then hears
+ * nothing more: ConnectedFwd (a backward port was free) or
+ * BlockedWait (every backward port disabled, slow reclamation).
+ * Idle ports on sleeping links are skipped; a non-Idle one must
+ * still be processed every cycle so its idle timeout fires on
+ * schedule.
+ */
+TimeoutRun
+routerIdleTimeout(bool quiesce, bool blocked)
+{
+    RouterParams params;
+    params.width = 8;
+    params.numForward = 4;
+    params.numBackward = 4;
+    params.maxDilation = 2;
+    RouterConfig config = RouterConfig::defaults(params);
+    config.dilation = 2;
+    config.idleTimeout = 24;
+    for (PortIndex p = 0; p < params.numForward; ++p)
+        config.fastReclaim[p] = false;
+
+    Engine engine;
+    engine.setQuiescence(quiesce);
+    MetroRouter router(0, params, config, 7);
+    std::vector<std::unique_ptr<Link>> fwd, bwd;
+    for (PortIndex p = 0; p < params.numForward; ++p) {
+        fwd.push_back(std::make_unique<Link>(
+            p, 1, params.dataPipeStages, 1));
+        router.attachForward(p, fwd.back().get());
+        engine.addLink(fwd.back().get());
+    }
+    for (PortIndex b = 0; b < params.numBackward; ++b) {
+        bwd.push_back(std::make_unique<Link>(
+            100 + b, params.dataPipeStages, 1, 1));
+        router.attachBackward(b, bwd.back().get());
+        engine.addLink(bwd.back().get());
+    }
+    engine.addComponent(&router);
+    if (blocked) {
+        for (PortIndex b = 0; b < params.numBackward; ++b)
+            router.setBackwardEnabled(b, false);
+    }
+
+    fwd[0]->pushDown(Symbol::header(0, 1, 5));
+    engine.run(3);
+    EXPECT_EQ(router.forwardState(0), blocked
+                                          ? FwdPortState::BlockedWait
+                                          : FwdPortState::ConnectedFwd);
+    TimeoutRun out;
+    for (int k = 0; k < 200; ++k) {
+        if (router.counters().get("idleTimeouts") != 0)
+            break;
+        bool asleep = !fwd[0]->active();
+        if (!blocked)
+            asleep = asleep &&
+                     !bwd[router.connectedBackward(0)]->active();
+        out.linksSlept = out.linksSlept || asleep;
+        engine.run(1);
+    }
+    EXPECT_EQ(router.counters().get("idleTimeouts"), 1u);
+    EXPECT_TRUE(router.quiescent());
+    out.firedAt = engine.now();
+    return out;
+}
+
+TEST(Quiescence, RouterIdleTimeoutFiresOnScheduleOverSleepingLinks)
+{
+    for (bool blocked : {false, true}) {
+        SCOPED_TRACE(blocked ? "BlockedWait" : "ConnectedFwd");
+        const TimeoutRun eager = routerIdleTimeout(false, blocked);
+        const TimeoutRun lazy = routerIdleTimeout(true, blocked);
+        EXPECT_FALSE(eager.linksSlept);
+        EXPECT_TRUE(lazy.linksSlept)
+            << "the port's links never slept — the case under test "
+               "did not arise";
+        EXPECT_EQ(lazy.firedAt, eager.firedAt);
+    }
+}
+
+/** The network-interface counterpart: a receiver that latched onto
+ *  a stream which then went silent, waiting on a sleeping link. */
+TimeoutRun
+niRecvTimeout(bool quiesce)
+{
+    NiConfig config;
+    config.recvTimeout = 30;
+    MessageTracker tracker;
+    NetworkInterface ni(0, config, &tracker, 1);
+    Link in(0, 1, 1);
+    ni.addInPort(&in);
+    Engine engine;
+    engine.setQuiescence(quiesce);
+    engine.addLink(&in);
+    engine.addComponent(&ni);
+
+    in.pushDown(Symbol::header(0, 0, 9));
+    engine.run(1);
+    in.pushDown(Symbol::data(0x1, 9));
+    engine.run(3);
+    TimeoutRun out;
+    for (int k = 0; k < 200; ++k) {
+        if (ni.counters().get("recvTimeouts") != 0)
+            break;
+        out.linksSlept = out.linksSlept || !in.active();
+        engine.run(1);
+    }
+    EXPECT_EQ(ni.counters().get("recvTimeouts"), 1u);
+    out.firedAt = engine.now();
+    return out;
+}
+
+TEST(Quiescence, NiRecvTimeoutFiresOnScheduleOverSleepingLinks)
+{
+    const TimeoutRun eager = niRecvTimeout(false);
+    const TimeoutRun lazy = niRecvTimeout(true);
+    EXPECT_FALSE(eager.linksSlept);
+    EXPECT_TRUE(lazy.linksSlept)
+        << "the receive link never slept — the case under test did "
+           "not arise";
+    EXPECT_EQ(lazy.firedAt, eager.firedAt);
 }
 
 } // namespace

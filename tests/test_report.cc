@@ -183,5 +183,21 @@ TEST(Runner, FatTreeTopology)
     EXPECT_NE(report.find("think=30"), std::string::npos);
 }
 
+TEST(Runner, ProfileStaysOutOfTheReport)
+{
+    // --profile is host timing on stderr only: the CSV must be byte
+    // identical with it on.
+    Options opts;
+    opts.topology = Topology::Fig1;
+    opts.thinkTimes = {100, 5};
+    opts.warmup = 200;
+    opts.measure = 1500;
+    opts.messageWords = 8;
+    opts.csv = true;
+    const auto plain = runFromOptions(opts);
+    opts.profile = true;
+    EXPECT_EQ(runFromOptions(opts), plain);
+}
+
 } // namespace
 } // namespace metro

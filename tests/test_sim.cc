@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/random.hh"
+#include "network/multibutterfly.hh"
+#include "network/presets.hh"
+#include "serve/checkpoint.hh"
+#include "sim/arena.hh"
 #include "sim/engine.hh"
 #include "sim/link.hh"
 #include "sim/pipe.hh"
@@ -196,6 +204,35 @@ TEST(Engine, HopLatencyIsTickOrderIndependent)
     }
 }
 
+TEST(Engine, ProfileCountsOnlyAttachedCyclesAndRunPhases)
+{
+    for (unsigned threads : {1u, 2u}) {
+        Engine engine;
+        engine.setThreads(threads);
+        Link a(0, 1, 1), b(1, 1, 1);
+        Repeater r(&a, &b);
+        engine.addLink(&a);
+        engine.addLink(&b);
+        engine.addComponent(&r);
+        engine.run(5);
+        EngineProfile profile;
+        engine.setProfile(&profile);
+        engine.run(40);
+        engine.setProfile(nullptr);
+        engine.run(5);
+        EXPECT_EQ(profile.cycles, 40u);
+        // The serial engine has no 1a-1c; the sharded one no single
+        // tick pass.
+        if (threads == 1) {
+            EXPECT_EQ(profile.ns[EngineProfile::ParallelTick], 0u);
+            EXPECT_EQ(profile.ns[EngineProfile::BarrierFold], 0u);
+            EXPECT_EQ(profile.ns[EngineProfile::SerialSection], 0u);
+        } else {
+            EXPECT_EQ(profile.ns[EngineProfile::SerialTick], 0u);
+        }
+    }
+}
+
 TEST(Engine, RunUntilStopsEarly)
 {
     Engine engine;
@@ -223,6 +260,231 @@ TEST(Engine, RunUntilTimesOut)
     const bool done = engine.runUntil([] { return false; }, 10);
     EXPECT_FALSE(done);
     EXPECT_EQ(engine.now(), 10u);
+}
+
+/** The live-lane set holds exactly the lanes that are neither
+ *  paused nor frozen, and no bit past the last lane. */
+void
+expectLiveSetExact(const LaneArena &arena)
+{
+    for (LaneId lane = 0; lane < arena.lanes(); ++lane) {
+        ASSERT_EQ(arena.live(lane),
+                  !arena.paused(lane) && !arena.frozen(lane))
+            << "lane " << lane;
+    }
+    const auto words = arena.liveWords();
+    ASSERT_EQ(words.size(), (arena.lanes() + 63) / 64);
+    if (arena.lanes() % 64 != 0) {
+        EXPECT_EQ(words.back() >> (arena.lanes() % 64), 0u);
+    }
+}
+
+TEST(LaneArena, LiveSetTracksPauseAndFreezeUnderRandomOps)
+{
+    LaneArena arena;
+    std::uint64_t discards = 0;
+    arena.setWireDiscardCounter(&discards);
+    Xoshiro256 rng(0x11fe);
+    // The model: what pause/freeze calls were made, independent of
+    // the arena's own flag bytes.
+    std::vector<bool> paused, frozen;
+    const auto grow = [&] {
+        arena.allocate(1 + static_cast<unsigned>(rng.below(4)));
+        paused.push_back(false);
+        frozen.push_back(false);
+    };
+    for (int k = 0; k < 70; ++k)
+        grow();
+    for (int step = 0; step < 4000; ++step) {
+        const auto lane = static_cast<LaneId>(rng.below(arena.lanes()));
+        switch (rng.below(7)) {
+          case 0:
+            grow();
+            break;
+          case 1:
+            paused[lane] = rng.bit();
+            arena.setPaused(lane, paused[lane]);
+            break;
+          case 2:
+            frozen[lane] = rng.bit();
+            arena.setFrozen(lane, frozen[lane]);
+            break;
+          case 3:
+            arena.setCensus(lane,
+                            static_cast<LaneCensus>(rng.below(4)));
+            break;
+          case 4:
+            arena.flush(lane);
+            break;
+          default: {
+            // One cycle: a few pushes, then the batched advance.
+            // Only live lanes take pushes (a push into a sleeping
+            // link's lane wakes the link first).
+            std::vector<bool> pushed(arena.lanes(), false);
+            for (int p = 0; p < 8; ++p) {
+                const auto l =
+                    static_cast<LaneId>(rng.below(arena.lanes()));
+                if (!pushed[l] && arena.live(l)) {
+                    pushed[l] = true;
+                    arena.push(l, Symbol::data(rng.below(256), l));
+                }
+            }
+            std::vector<LaneId> drained;
+            arena.advanceAll(&drained);
+            break;
+          }
+        }
+        for (LaneId l = 0; l < arena.lanes(); ++l) {
+            ASSERT_EQ(arena.live(l), !paused[l] && !frozen[l])
+                << "lane " << l << " at step " << step;
+        }
+        expectLiveSetExact(arena);
+    }
+    EXPECT_GT(arena.lanes(), 128u) << "grew past two live-set words";
+}
+
+TEST(LaneArena, LiveSetSurvivesCheckpointRestore)
+{
+    // A network with lanes in every state — sleeping links, a dead
+    // link with its census armed, a flushed link, an unregistered
+    // (frozen) link, and live traffic — round-trips through a
+    // checkpoint. The live-lane set is derived state, not
+    // serialized: the restore must rebuild it from the flag bytes.
+    constexpr std::uint64_t kDigest = 0x11fe;
+    const auto spec = fig1Spec(9);
+    auto net = buildMultibutterfly(spec);
+    net->engine().run(50); // idle: every link sleeps
+    net->endpoint(1).send(14, {0x1, 0x2, 0x3, 0x4});
+    net->engine().run(4);
+    net->link(3).setFault(LinkFault::Dead);
+    net->link(7).flush();
+    Link *gone = &net->link(5);
+    net->engine().removeLinks({&gone, 1});
+    net->engine().run(3);
+    expectLiveSetExact(net->arena());
+
+    std::size_t live = 0, sleeping = 0;
+    for (LaneId lane = 0; lane < net->arena().lanes(); ++lane) {
+        live += net->arena().live(lane) ? 1 : 0;
+        sleeping += net->arena().paused(lane) ? 1 : 0;
+    }
+    ASSERT_GT(live, 0u);
+    ASSERT_GT(sleeping, 0u);
+
+    CheckpointParticipants parts;
+    parts.net = net.get();
+    const auto bytes = saveCheckpointBytes(kDigest, parts);
+
+    // A fresh instance starts with every lane live.
+    auto fresh = buildMultibutterfly(spec);
+    Link *freshGone = &fresh->link(5);
+    fresh->engine().removeLinks({&freshGone, 1});
+    CheckpointParticipants freshParts;
+    freshParts.net = fresh.get();
+    ASSERT_EQ(restoreCheckpointBytes(bytes.data(), bytes.size(),
+                                     kDigest, freshParts),
+              "");
+    expectLiveSetExact(fresh->arena());
+    for (LaneId lane = 0; lane < net->arena().lanes(); ++lane)
+        EXPECT_EQ(fresh->arena().live(lane), net->arena().live(lane))
+            << "lane " << lane;
+}
+
+/** Everything observable about one arena, lane by lane. */
+void
+expectSameLanes(const LaneArena &a, const LaneArena &b)
+{
+    ASSERT_EQ(a.lanes(), b.lanes());
+    for (LaneId lane = 0; lane < a.lanes(); ++lane) {
+        const Symbol x = a.head(lane), y = b.head(lane);
+        ASSERT_EQ(x.kind, y.kind) << "lane " << lane;
+        ASSERT_EQ(x.value, y.value) << "lane " << lane;
+        ASSERT_EQ(x.msgId, y.msgId) << "lane " << lane;
+        ASSERT_EQ(a.occupied(lane), b.occupied(lane)) << "lane " << lane;
+        ASSERT_EQ(a.countKind(lane, SymbolKind::Data),
+                  b.countKind(lane, SymbolKind::Data))
+            << "lane " << lane;
+    }
+}
+
+TEST(LaneArena, AdvanceRangeSplitsMatchAdvanceAll)
+{
+    // Two identical arenas driven through identical cycles: one
+    // advances in a single pass, the other in arbitrary, mostly
+    // non-64-aligned chunks whose drained reports and census charges
+    // are concatenated in chunk order, as the sharded engine folds
+    // them. Slots, drained lists and wire discards must agree.
+    Xoshiro256 rng(0xad5a);
+    LaneArena whole, split;
+    for (int k = 0; k < 300; ++k) {
+        const auto lat = 1 + static_cast<unsigned>(rng.below(5));
+        whole.allocate(lat);
+        split.allocate(lat);
+    }
+    std::uint64_t wholeDiscards = 0, splitDiscards = 0;
+    whole.setWireDiscardCounter(&wholeDiscards);
+    const auto lanes = static_cast<LaneId>(whole.lanes());
+    for (int cycle = 0; cycle < 600; ++cycle) {
+        // Identical mutations on both: pushes into live lanes,
+        // pause/freeze flips, fault-census arming.
+        std::vector<bool> pushed(lanes, false);
+        for (int p = 0; p < 40; ++p) {
+            const auto l = static_cast<LaneId>(rng.below(lanes));
+            if (pushed[l] || !whole.live(l))
+                continue;
+            pushed[l] = true;
+            const Symbol s = rng.below(4) == 0
+                                 ? Symbol{}
+                                 : Symbol::data(rng.below(1 << 16), l);
+            whole.push(l, s);
+            split.push(l, s);
+        }
+        for (int f = 0; f < 6; ++f) {
+            const auto l = static_cast<LaneId>(rng.below(lanes));
+            switch (rng.below(3)) {
+              case 0: {
+                const bool on = rng.below(3) != 0;
+                whole.setPaused(l, on);
+                split.setPaused(l, on);
+                break;
+              }
+              case 1: {
+                const bool on = rng.below(4) == 0;
+                whole.setFrozen(l, on);
+                split.setFrozen(l, on);
+                break;
+              }
+              default: {
+                const auto c = static_cast<LaneCensus>(rng.below(4));
+                whole.setCensus(l, c);
+                split.setCensus(l, c);
+                break;
+              }
+            }
+        }
+
+        std::vector<LaneId> wholeDrained;
+        whole.advanceAll(&wholeDrained);
+
+        std::vector<LaneId> cuts = {0, lanes};
+        for (int c = 1 + static_cast<int>(rng.below(6)); c > 0; --c)
+            cuts.push_back(static_cast<LaneId>(rng.below(lanes + 1)));
+        std::sort(cuts.begin(), cuts.end());
+        std::vector<LaneId> splitDrained;
+        for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+            std::vector<LaneId> chunk;
+            std::uint64_t charges = 0;
+            split.advanceRange(cuts[k], cuts[k + 1], &chunk, &charges);
+            splitDrained.insert(splitDrained.end(), chunk.begin(),
+                                chunk.end());
+            splitDiscards += charges;
+        }
+
+        ASSERT_EQ(wholeDrained, splitDrained) << "cycle " << cycle;
+        ASSERT_EQ(wholeDiscards, splitDiscards) << "cycle " << cycle;
+        expectSameLanes(whole, split);
+    }
+    EXPECT_GT(wholeDiscards, 0u) << "census charges never exercised";
 }
 
 TEST(StatusWord, EncodeDecodeRoundTrip)
