@@ -28,9 +28,10 @@ BM_AllocateCrossbar(benchmark::State &state)
         requests.push_back({k, k % 4});
     const std::vector<bool> avail(8, true);
     std::uint64_t word = 0x123456789abcdefULL;
+    std::vector<AllocGrant> grants;
     for (auto _ : state) {
-        auto grants = allocateCrossbar(requests, avail, 2, word++);
-        benchmark::DoNotOptimize(grants);
+        allocateCrossbar(requests, avail, 2, word++, true, grants);
+        benchmark::DoNotOptimize(grants.data());
     }
 }
 BENCHMARK(BM_AllocateCrossbar)->Arg(1)->Arg(4)->Arg(8);

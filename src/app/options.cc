@@ -1139,7 +1139,8 @@ writeConnectionTrace(const std::vector<SweepPoint> &points,
 }
 
 /** The --profile report: host µs per simulated cycle per engine
- *  phase, summed over every instance that ran. */
+ *  phase, 1a's parallel efficiency, and tick time per component
+ *  class, summed over every instance that ran. */
 std::string
 engineProfileText(const EngineProfile &p)
 {
@@ -1166,6 +1167,21 @@ engineProfileText(const EngineProfile &p)
                                  : 100.0 *
                                        static_cast<double>(p.ns[k]) /
                                        static_cast<double>(total));
+        out << line;
+    }
+    if (p.parallelCapacityNs != 0) {
+        std::snprintf(line, sizeof(line),
+                      "  1a parallel efficiency %.3f (shard ticks "
+                      "%.3f us/cycle)\n",
+                      p.parallelEfficiency(),
+                      static_cast<double>(p.shardNs) / 1e3 / cycles);
+        out << line;
+    }
+    out << "  tick time by class (summed over threads):\n";
+    for (unsigned k = 0; k < kTickClasses; ++k) {
+        std::snprintf(line, sizeof(line), "    %-18s %10.3f us/cycle\n",
+                      EngineProfile::kClassNames[k],
+                      static_cast<double>(p.classNs[k]) / 1e3 / cycles);
         out << line;
     }
     return out.str();

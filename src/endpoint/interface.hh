@@ -391,6 +391,8 @@ class NetworkInterface : public Component
         return &Component::batchTickOf<NetworkInterface>;
     }
 
+    TickClass tickClass() const override { return TickClass::Endpoint; }
+
     void startAttempt(Cycle cycle);
     void startRound(unsigned round);
     bool roundReplyOk() const;

@@ -1,6 +1,7 @@
 #include "router/allocator.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -8,45 +9,62 @@
 namespace metro
 {
 
-std::vector<AllocGrant>
-allocateCrossbar(const std::vector<AllocRequest> &requests,
+void
+allocateCrossbar(std::span<const AllocRequest> requests,
                  const std::vector<bool> &available, unsigned dilation,
-                 std::uint64_t random_word, bool randomize)
+                 std::uint64_t random_word, bool randomize,
+                 std::vector<AllocGrant> &grants)
 {
     METRO_ASSERT(dilation > 0, "dilation must be positive");
     METRO_ASSERT(available.size() % dilation == 0,
                  "available mask (%zu ports) is not a whole number "
                  "of dilation-%u groups",
                  available.size(), dilation);
+    METRO_ASSERT(available.size() <= kMaxAllocPorts &&
+                     requests.size() <= kMaxAllocPorts,
+                 "allocator supports at most %u ports (%zu backward "
+                 "ports, %zu requests)",
+                 kMaxAllocPorts, available.size(), requests.size());
 
-    std::vector<AllocGrant> result(requests.size());
+    grants.resize(requests.size());
     const unsigned num_directions =
         static_cast<unsigned>(available.size()) / dilation;
 
-    // Group request indices by direction, preserving forward-port
-    // order so the random rotation below is the only source of
-    // priority variation (and is identical across a cascade group).
-    std::vector<std::vector<std::size_t>> by_dir(num_directions);
+    // Group request indices by direction with a counting pass. The
+    // grouping is stable — forward-port order within a direction —
+    // so the random rotation below is the only source of priority
+    // variation (and is identical across a cascade group).
+    std::array<std::uint8_t, kMaxAllocPorts + 1> start{};
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto &req = requests[i];
         METRO_ASSERT(req.direction < num_directions,
                      "request direction %u out of range (radix %u)",
                      req.direction, num_directions);
-        result[i].forwardPort = req.forwardPort;
-        by_dir[req.direction].push_back(i);
+        grants[i] = {req.forwardPort, kInvalidPort};
+        ++start[req.direction + 1];
     }
+    for (unsigned dir = 0; dir < num_directions; ++dir)
+        start[dir + 1] =
+            static_cast<std::uint8_t>(start[dir + 1] + start[dir]);
+    std::array<std::uint8_t, kMaxAllocPorts> order{};
+    std::array<std::uint8_t, kMaxAllocPorts + 1> next = start;
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        order[next[requests[i].direction]++] =
+            static_cast<std::uint8_t>(i);
 
     for (unsigned dir = 0; dir < num_directions; ++dir) {
-        auto &reqs = by_dir[dir];
-        if (reqs.empty())
+        const auto first = order.begin() + start[dir];
+        const auto last = order.begin() + start[dir + 1];
+        if (first == last)
             continue;
 
         // Free ports of this direction's group.
-        std::vector<PortIndex> free_ports;
+        std::array<PortIndex, kMaxAllocPorts> free_ports{};
+        std::size_t n_free = 0;
         for (unsigned k = 0; k < dilation; ++k) {
             const PortIndex b = dir * dilation + k;
             if (available[b])
-                free_ports.push_back(b);
+                free_ports[n_free++] = b;
         }
 
         // Deterministic per-direction random stream derived from
@@ -55,26 +73,37 @@ allocateCrossbar(const std::vector<AllocRequest> &requests,
                         (0x9e3779b97f4a7c15ULL * (dir + 1)));
 
         // Rotate request priority randomly.
-        if (randomize && reqs.size() > 1) {
-            const auto rot = static_cast<std::size_t>(
-                draw.below(reqs.size()));
-            std::rotate(reqs.begin(), reqs.begin() + rot, reqs.end());
+        const auto n_reqs = static_cast<std::size_t>(last - first);
+        if (randomize && n_reqs > 1) {
+            const auto rot =
+                static_cast<std::ptrdiff_t>(draw.below(n_reqs));
+            std::rotate(first, first + rot, last);
         }
 
-        for (std::size_t idx : reqs) {
-            if (free_ports.empty())
-                break; // remaining requests stay blocked
+        // Each request in turn draws one of the ports still free;
+        // the rest stay blocked once the group runs out.
+        for (auto it = first; it != last && n_free > 0; ++it) {
             const auto pick =
-                randomize ? static_cast<std::size_t>(
-                                draw.below(free_ports.size()))
+                randomize ? static_cast<std::size_t>(draw.below(n_free))
                           : 0;
-            result[idx].backwardPort = free_ports[pick];
-            free_ports.erase(free_ports.begin() +
-                             static_cast<std::ptrdiff_t>(pick));
+            grants[*it].backwardPort = free_ports[pick];
+            std::copy(free_ports.begin() + pick + 1,
+                      free_ports.begin() + n_free,
+                      free_ports.begin() + pick);
+            --n_free;
         }
     }
+}
 
-    return result;
+std::vector<AllocGrant>
+allocateCrossbar(const std::vector<AllocRequest> &requests,
+                 const std::vector<bool> &available, unsigned dilation,
+                 std::uint64_t random_word, bool randomize)
+{
+    std::vector<AllocGrant> grants;
+    allocateCrossbar(requests, available, dilation, random_word,
+                     randomize, grants);
+    return grants;
 }
 
 } // namespace metro

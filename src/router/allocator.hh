@@ -19,12 +19,22 @@
 #define METRO_ROUTER_ALLOCATOR_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
 
 namespace metro
 {
+
+/**
+ * Most ports, forward or backward, the allocator handles: the STATUS
+ * word reports a granted backward port in a 6-bit field
+ * (StatusWord::kPortMask), and a router makes at most one request
+ * per forward port. The allocator groups and picks in fixed arrays
+ * of this size, so a call does not touch the heap.
+ */
+inline constexpr unsigned kMaxAllocPorts = 64;
 
 /** One connection request into the allocator. */
 struct AllocRequest
@@ -67,8 +77,18 @@ struct AllocGrant
  *                   port, fixed forward-port priority): the
  *                   ablation baseline against the paper's
  *                   stochastic path selection
- * @return one AllocGrant per request, same order as `requests`
+ * @param grants     out: resized to one AllocGrant per request,
+ *                   same order as `requests` (a call with enough
+ *                   capacity allocates nothing — the router's
+ *                   per-cycle form)
  */
+void allocateCrossbar(std::span<const AllocRequest> requests,
+                      const std::vector<bool> &available,
+                      unsigned dilation, std::uint64_t random_word,
+                      bool randomize, std::vector<AllocGrant> &grants);
+
+/** The same allocation, returned: one AllocGrant per request, same
+ *  order as `requests`. */
 std::vector<AllocGrant>
 allocateCrossbar(const std::vector<AllocRequest> &requests,
                  const std::vector<bool> &available, unsigned dilation,

@@ -15,6 +15,7 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "router/allocator.hh"
 
 namespace metro
 {
@@ -68,6 +69,10 @@ struct RouterParams
         if (numBackward == 0 || !isPowerOfTwo(numBackward))
             METRO_FATAL("o must be a power of two (got %u)",
                         numBackward);
+        if (numForward > kMaxAllocPorts || numBackward > kMaxAllocPorts)
+            METRO_FATAL("simulator supports i, o <= %u (got i=%u, "
+                        "o=%u)",
+                        kMaxAllocPorts, numForward, numBackward);
         if (maxDilation == 0 || !isPowerOfTwo(maxDilation))
             METRO_FATAL("max_d must be a power of two (got %u)",
                         maxDilation);

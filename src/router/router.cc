@@ -51,6 +51,8 @@ MetroRouter::MetroRouter(RouterId id, const RouterParams &params,
     bRevRead_.resize(nb, 0);
     availScratch_.resize(nb, false);
     pendingScratch_.reserve(nf);
+    allocScratch_.reserve(nf);
+    lastGrants_.reserve(nf);
     markSleepable();
     refreshOffPortDrive();
 
@@ -599,15 +601,13 @@ MetroRouter::runAllocation(Cycle cycle)
     if (pendingScratch_.empty())
         return;
 
-    std::vector<AllocRequest> requests;
-    requests.reserve(pendingScratch_.size());
+    allocScratch_.clear();
     for (const auto &req : pendingScratch_)
-        requests.push_back({req.fwd, req.direction});
+        allocScratch_.push_back({req.fwd, req.direction});
 
-    lastGrants_ = allocateCrossbar(
-        requests, availScratch_, config_.dilation,
-        randomSource_->wordForCycle(cycle),
-        config_.randomSelection);
+    allocateCrossbar(allocScratch_, availScratch_, config_.dilation,
+                     randomSource_->wordForCycle(cycle),
+                     config_.randomSelection, lastGrants_);
 
     for (std::size_t k = 0; k < pendingScratch_.size(); ++k) {
         const auto &req = pendingScratch_[k];

@@ -281,6 +281,8 @@ class MetroRouter : public Component
         return &Component::batchTickOf<MetroRouter>;
     }
 
+    TickClass tickClass() const override { return TickClass::Router; }
+
     void processForwardPort(PortIndex p, Cycle cycle);
     void handleConnectedFwd(PortIndex p, const Symbol &sym,
                             Cycle cycle);
@@ -348,6 +350,7 @@ class MetroRouter : public Component
      *  vector allocations were a measured hot spot). @{ */
     std::vector<bool> availScratch_;
     std::vector<PendingRequest> pendingScratch_;
+    std::vector<AllocRequest> allocScratch_;
     /** @} */
 
     /** availScratch_ needs refilling: some availability input

@@ -64,6 +64,21 @@ struct TickContext
 };
 
 /**
+ * What kind of component a tick belongs to, for the engine's
+ * host-time profile only (EngineProfile::classNs): it never changes
+ * what or when anything ticks.
+ */
+enum class TickClass : std::uint8_t
+{
+    Router,
+    Endpoint,
+    Driver,
+    Other
+};
+
+inline constexpr unsigned kTickClasses = 4;
+
+/**
  * Anything ticked by the engine: routers, endpoints, fault
  * injectors, monitors.
  *
@@ -119,6 +134,9 @@ class Component
     {
         return &genericBatchTick;
     }
+
+    /** Profile bucket of this component's ticks (see TickClass). */
+    virtual TickClass tickClass() const { return TickClass::Other; }
 
     /**
      * True when tick() touches only this component's own state and

@@ -69,13 +69,16 @@
  * parallel section and a serial section. Components whose tick
  * honours the parallel contract (Component::parallelTickSafe —
  * routers and network interfaces without observers, handlers or
- * shared random sources) are partitioned into up to n *shards* —
- * contiguous sub-ranges of the registration order, cut at the
- * topology's stage boundaries when the network provides hints
- * (setShardHints) — and ticked concurrently on a persistent worker
- * pool. Everything else (drivers, probes, injectors, cascade
- * groups, and the dynamically *pinned* ends of corrupt links, which
- * share the link's corruption PRNG) ticks in the serial section, in
+ * shared random sources) are partitioned into up to
+ * kShardsPerThread × n *shards* — contiguous sub-ranges of the
+ * registration order, cut at the topology's stage boundaries when
+ * the network provides hints (setShardHints) and split further
+ * inside stages — and ticked concurrently on a persistent worker
+ * pool, whose threads each pull the next unclaimed shard, so
+ * several small shards per thread even out stages of unequal cost.
+ * Everything else (drivers, probes, injectors, cascade groups, and
+ * the dynamically *pinned* ends of corrupt links, which share the
+ * link's corruption PRNG) ticks in the serial section, in
  * registration order. Phase 1's contract — read lane heads, push
  * lane tails, never observe a same-cycle write — is exactly what
  * makes any tick order (including a concurrent one) equivalent, so
@@ -154,14 +157,41 @@ struct EngineProfile
         "serial tick", "1a parallel tick", "1b barrier fold",
         "1c serial section", "2 lane advance", "finish/sleep pass"};
 
+    /** Names of the TickClass buckets, in enum order. */
+    static constexpr std::array<const char *, kTickClasses>
+        kClassNames = {"router", "NI", "driver", "other"};
+
     std::array<std::uint64_t, kPhases> ns{};
+    /** Tick time per TickClass. Shard time is summed over the
+     *  threads that ran it, so under the sharded engine this may
+     *  exceed the wall time of the phases it came from. */
+    std::array<std::uint64_t, kTickClasses> classNs{};
+    /** 1a only: tick time summed over every shard, and threads ×
+     *  the phase's wall time (see parallelEfficiency). */
+    std::uint64_t shardNs = 0;
+    std::uint64_t parallelCapacityNs = 0;
     std::uint64_t cycles = 0;
+
+    /** Share of 1a's thread time spent ticking shards, in [0, 1];
+     *  0 when no sharded cycle ran. */
+    double
+    parallelEfficiency() const
+    {
+        return parallelCapacityNs == 0
+                   ? 0.0
+                   : static_cast<double>(shardNs) /
+                         static_cast<double>(parallelCapacityNs);
+    }
 
     void
     add(const EngineProfile &o)
     {
         for (unsigned k = 0; k < kPhases; ++k)
             ns[k] += o.ns[k];
+        for (unsigned k = 0; k < kTickClasses; ++k)
+            classNs[k] += o.classNs[k];
+        shardNs += o.shardNs;
+        parallelCapacityNs += o.parallelCapacityNs;
         cycles += o.cycles;
     }
 };
@@ -185,12 +215,7 @@ class Engine : public Scheduler
         if (threads_ > 1)
             component->setConcurrentMetrics(true);
         components_.push_back(component);
-        // Extend the current homogeneous run or open a new one.
-        const auto fn = component->batchTickFn();
-        if (!runs_.empty() && runs_.back().fn == fn)
-            ++runs_.back().count;
-        else
-            runs_.push_back({fn, components_.size() - 1, 1});
+        appendRun(runs_, runOf(component, components_.size() - 1));
         planDirty_ = true;
     }
 
@@ -386,9 +411,11 @@ class Engine : public Scheduler
     /**
      * Preferred shard cut points, in registration order — the
      * first component of each topology stage (and of the endpoint
-     * block), provided by Network::finalize. The planner cuts
-     * shards only at hints whenever that yields enough shards, so
-     * cross-shard lanes are exactly the stage-boundary links.
+     * block), provided by Network::finalize. Every hint starts a
+     * new shard whenever the hints alone give no more groups than
+     * the planner's shard target (kShardsPerThread × threads), and
+     * the planner splits only inside hint groups, so no shard
+     * straddles a stage.
      */
     void
     setShardHints(std::vector<Component *> hints)
@@ -411,6 +438,11 @@ class Engine : public Scheduler
      * Shard-plan introspection (tests, diagnostics). Valid with
      * threads() > 1; rebuilds a stale plan on entry. @{
      */
+
+    /** Shards the planner aims for per thread: the pool hands
+     *  shards to whichever thread is free, so cutting finer than
+     *  one per thread lets unequal stage costs even out. */
+    static constexpr unsigned kShardsPerThread = 4;
 
     /** Shards in the current plan (0 when serial). */
     std::size_t
@@ -580,9 +612,33 @@ class Engine : public Scheduler
     struct TickRun
     {
         Component::BatchTickFn fn;
+        TickClass cls;
         std::size_t begin;
         std::size_t count;
     };
+
+    /** The one-component run of registration index i. */
+    static TickRun
+    runOf(const Component *c, std::size_t i)
+    {
+        return {c->batchTickFn(), c->tickClass(), i, 1};
+    }
+
+    /** Append `r` to `runs`, extending the last run when `r`
+     *  continues it with the same batch function and class. */
+    static void
+    appendRun(std::vector<TickRun> &runs, const TickRun &r)
+    {
+        if (!runs.empty()) {
+            TickRun &last = runs.back();
+            if (last.fn == r.fn && last.cls == r.cls &&
+                last.begin + last.count == r.begin) {
+                last.count += r.count;
+                return;
+            }
+        }
+        runs.push_back(r);
+    }
 
     /**
      * One parallel shard: the registration-order slices it ticks,
@@ -605,25 +661,57 @@ class Engine : public Scheduler
         std::uint64_t skipped = 0;
         std::vector<Component *> candidates;
         std::vector<Link *> activations;
+        /** Profiled cycles only: tick time per class. */
+        std::array<std::uint64_t, kTickClasses> classNs{};
         /** @} */
     };
 
     using ProfileClock = std::chrono::steady_clock;
 
-    /** Profiled cycles only: charge the time since `t` to `phase`
-     *  and restart the lap. */
+    static std::uint64_t
+    nsBetween(ProfileClock::time_point from, ProfileClock::time_point to)
+    {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(to -
+                                                                 from)
+                .count());
+    }
+
+    /** Profiled cycles only: charge the time since `t` to `phase`,
+     *  restart the lap, and return the charge. */
     template <bool kProfile>
-    void
+    std::uint64_t
     lap([[maybe_unused]] EngineProfile::Phase phase,
         [[maybe_unused]] ProfileClock::time_point &t)
     {
         if constexpr (kProfile) {
             const auto now = ProfileClock::now();
-            profile_->ns[phase] += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    now - t)
-                    .count());
+            const std::uint64_t d = nsBetween(t, now);
+            profile_->ns[phase] += d;
             t = now;
+            return d;
+        }
+        return 0;
+    }
+
+    /** Tick `runs` in order; profiled cycles also charge each run's
+     *  time to its class in `*classNs`. */
+    template <bool kProfile>
+    void
+    tickRuns(const std::vector<TickRun> &runs, TickContext &ctx,
+             [[maybe_unused]] std::array<std::uint64_t, kTickClasses>
+                 *classNs)
+    {
+        Component *const *base = components_.data();
+        for (const TickRun &run : runs) {
+            if constexpr (kProfile) {
+                const auto t0 = ProfileClock::now();
+                run.fn(base + run.begin, run.count, ctx);
+                (*classNs)[static_cast<unsigned>(run.cls)] +=
+                    nsBetween(t0, ProfileClock::now());
+            } else {
+                run.fn(base + run.begin, run.count, ctx);
+            }
         }
     }
 
@@ -643,9 +731,8 @@ class Engine : public Scheduler
             sleepCandidates_.clear();
             ctx.sleepCandidates = &sleepCandidates_;
         }
-        Component *const *base = components_.data();
-        for (const auto &run : runs_)
-            run.fn(base + run.begin, run.count, ctx);
+        tickRuns<kProfile>(runs_, ctx,
+                           kProfile ? &profile_->classNs : nullptr);
         ticksSkipped_ += ctx.skipped;
         lap<kProfile>(EngineProfile::SerialTick, t);
 
@@ -728,17 +815,28 @@ class Engine : public Scheduler
             s.skipped = 0;
             s.candidates.clear();
             s.activations.clear();
+            if constexpr (kProfile)
+                s.classNs = {};
             liveShards_.push_back(&s);
         }
         if (liveShards_.size() == 1)
-            runShard(*liveShards_.front());
+            runShard<kProfile>(*liveShards_.front());
         else if (!liveShards_.empty())
             pool_.run(static_cast<unsigned>(liveShards_.size()),
-                      &shardTask, this);
-        lap<kProfile>(EngineProfile::ParallelTick, t);
+                      &shardTask<kProfile>, this);
+        if constexpr (kProfile) {
+            profile_->parallelCapacityNs +=
+                threads_ * lap<kProfile>(EngineProfile::ParallelTick, t);
+        }
 
         // 1b. Barrier: fold per-shard effects in shard order.
         for (Shard *s : liveShards_) {
+            if constexpr (kProfile) {
+                for (unsigned k = 0; k < kTickClasses; ++k) {
+                    profile_->classNs[k] += s->classNs[k];
+                    profile_->shardNs += s->classNs[k];
+                }
+            }
             ticksSkipped_ += s->skipped;
             for (Link *l : s->activations)
                 l->activate();
@@ -755,9 +853,8 @@ class Engine : public Scheduler
             ctx.cycle = now_;
             if (quiesce_)
                 ctx.sleepCandidates = &sleepCandidates_;
-            Component *const *base = components_.data();
-            for (const TickRun &run : serialRuns_)
-                run.fn(base + run.begin, run.count, ctx);
+            tickRuns<kProfile>(serialRuns_, ctx,
+                               kProfile ? &profile_->classNs : nullptr);
             ticksSkipped_ += ctx.skipped;
         }
         lap<kProfile>(EngineProfile::SerialSection, t);
@@ -828,7 +925,9 @@ class Engine : public Scheduler
 
     /** Run one shard's slices (worker or caller thread). Effects
      *  that must not race — activations/wakes — are recorded in the
-     *  shard's buffers via the thread-local deferral hook. */
+     *  shard's buffers via the thread-local deferral hook, and so
+     *  is profiled time. */
+    template <bool kProfile>
     void
     runShard(Shard &s)
     {
@@ -837,18 +936,17 @@ class Engine : public Scheduler
         if (quiesce_)
             ctx.sleepCandidates = &s.candidates;
         detail::tlsDeferredActivations = &s.activations;
-        Component *const *base = components_.data();
-        for (const TickRun &sl : s.slices)
-            sl.fn(base + sl.begin, sl.count, ctx);
+        tickRuns<kProfile>(s.slices, ctx, &s.classNs);
         detail::tlsDeferredActivations = nullptr;
         s.skipped = ctx.skipped;
     }
 
+    template <bool kProfile>
     static void
     shardTask(void *ctx, unsigned k)
     {
         auto *e = static_cast<Engine *>(ctx);
-        e->runShard(*e->liveShards_[k]);
+        e->runShard<kProfile>(*e->liveShards_[k]);
     }
 
     static void
@@ -868,13 +966,8 @@ class Engine : public Scheduler
     rebuildRuns()
     {
         runs_.clear();
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            const auto fn = components_[i]->batchTickFn();
-            if (!runs_.empty() && runs_.back().fn == fn)
-                ++runs_.back().count;
-            else
-                runs_.push_back({fn, i, 1});
-        }
+        for (std::size_t i = 0; i < components_.size(); ++i)
+            appendRun(runs_, runOf(components_[i], i));
     }
 
     /**
@@ -890,11 +983,16 @@ class Engine : public Scheduler
      *   2. walk the registration list once, sending non-parallel
      *      components to the serial runs and slicing the parallel
      *      ones into hint-aligned groups;
-     *   3. while there are fewer groups than threads, halve the
-     *      largest (stage-alignment yields to occupancy only when
-     *      the topology gave too few stages);
+     *   3. while there are fewer groups than the shard target
+     *      (kShardsPerThread × threads), halve the largest. A halved
+     *      group stays inside its stage, and routers of one stage
+     *      (like network interfaces) share no links, so this adds
+     *      no cross-shard lanes. The pool hands each shard to
+     *      whichever thread is free, so the small shards even out
+     *      unequal stage costs (an 8×8 router ticks about twice as
+     *      long as a 4×4 one) without a cost model;
      *   4. one shard per group when they fit, else pack consecutive
-     *      groups into ≤ threads balanced shards (cuts stay on
+     *      groups into ≤ target balanced shards (cuts stay on
      *      group, i.e. hint, boundaries);
      *   5. assign shard ids and awake counts.
      *
@@ -928,32 +1026,22 @@ class Engine : public Scheduler
         std::size_t total = 0;
         for (std::size_t i = 0; i < components_.size(); ++i) {
             Component *c = components_[i];
-            const auto fn = c->batchTickFn();
             if (!c->parallelTickSafe() || pinned_.count(c) != 0) {
                 c->shard_ = Component::kNoShard;
-                if (!serialRuns_.empty() &&
-                    serialRuns_.back().fn == fn &&
-                    serialRuns_.back().begin +
-                            serialRuns_.back().count ==
-                        i)
-                    ++serialRuns_.back().count;
-                else
-                    serialRuns_.push_back({fn, i, 1});
+                appendRun(serialRuns_, runOf(c, i));
                 continue;
             }
             if (groups.empty() || hints.count(c) != 0)
                 groups.emplace_back();
             PlanGroup &gp = groups.back();
-            if (!gp.slices.empty() && gp.slices.back().fn == fn &&
-                gp.slices.back().begin + gp.slices.back().count == i)
-                ++gp.slices.back().count;
-            else
-                gp.slices.push_back({fn, i, 1});
+            appendRun(gp.slices, runOf(c, i));
             ++gp.members;
             ++total;
         }
 
-        while (groups.size() < threads_) {
+        const std::size_t target =
+            std::size_t{kShardsPerThread} * threads_;
+        while (groups.size() < target) {
             std::size_t big = 0;
             for (std::size_t i = 1; i < groups.size(); ++i) {
                 if (groups[i].members > groups[big].members)
@@ -975,10 +1063,11 @@ class Engine : public Scheduler
                     acc += sl.count;
                 } else {
                     const std::size_t first = keep - acc;
-                    kept.push_back({sl.fn, sl.begin, first});
+                    kept.push_back({sl.fn, sl.cls, sl.begin, first});
                     acc = keep;
-                    tail.slices.push_back(
-                        {sl.fn, sl.begin + first, sl.count - first});
+                    tail.slices.push_back({sl.fn, sl.cls,
+                                           sl.begin + first,
+                                           sl.count - first});
                     tail.members += sl.count - first;
                 }
             }
@@ -990,7 +1079,7 @@ class Engine : public Scheduler
         }
 
         shards_.clear();
-        if (groups.size() <= threads_) {
+        if (groups.size() <= target) {
             for (PlanGroup &gp : groups) {
                 if (gp.members == 0)
                     continue;
@@ -1004,20 +1093,12 @@ class Engine : public Scheduler
                 if (gp.members == 0)
                     continue;
                 if (shards_.empty() ||
-                    (shards_.size() < threads_ &&
-                     cum * threads_ >= total * shards_.size()))
+                    (shards_.size() < target &&
+                     cum * target >= total * shards_.size()))
                     shards_.emplace_back();
                 Shard &s = shards_.back();
-                for (const TickRun &sl : gp.slices) {
-                    if (!s.slices.empty() &&
-                        s.slices.back().fn == sl.fn &&
-                        s.slices.back().begin +
-                                s.slices.back().count ==
-                            sl.begin)
-                        s.slices.back().count += sl.count;
-                    else
-                        s.slices.push_back(sl);
-                }
+                for (const TickRun &sl : gp.slices)
+                    appendRun(s.slices, sl);
                 s.members += gp.members;
                 cum += gp.members;
             }

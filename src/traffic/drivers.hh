@@ -216,6 +216,8 @@ class ClosedLoopDriver : public Component
         return &Component::batchTickOf<ClosedLoopDriver>;
     }
 
+    TickClass tickClass() const override { return TickClass::Driver; }
+
     NetworkInterface *ni_;
     const DestinationGenerator *dests_;
     DriverConfig config_;
@@ -273,6 +275,8 @@ class OpenLoopDriver : public Component
     {
         return &Component::batchTickOf<OpenLoopDriver>;
     }
+
+    TickClass tickClass() const override { return TickClass::Driver; }
 
     NetworkInterface *ni_;
     const DestinationGenerator *dests_;

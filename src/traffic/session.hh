@@ -129,6 +129,8 @@ class SessionDriver : public Component
         return &Component::batchTickOf<SessionDriver>;
     }
 
+    TickClass tickClass() const override { return TickClass::Driver; }
+
     NetworkInterface *ni_;
     const DestinationGenerator *dests_;
     DriverConfig config_;

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/random.hh"
 #include "router/allocator.hh"
@@ -206,6 +208,92 @@ TEST(Allocator, Dilation1BehavesLikePlainCrossbar)
         }
     }
     EXPECT_EQ(granted, 1);
+}
+
+/** The allocator as first written — a vector per direction, a
+ *  free-port vector with erase — kept as the reference the
+ *  allocation-free version must match draw for draw. */
+std::vector<AllocGrant>
+referenceAllocate(const std::vector<AllocRequest> &requests,
+                  const std::vector<bool> &available, unsigned dilation,
+                  std::uint64_t random_word, bool randomize)
+{
+    std::vector<AllocGrant> result(requests.size());
+    const unsigned num_directions =
+        static_cast<unsigned>(available.size()) / dilation;
+    std::vector<std::vector<std::size_t>> by_dir(num_directions);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        result[i].forwardPort = requests[i].forwardPort;
+        by_dir[requests[i].direction].push_back(i);
+    }
+    for (unsigned dir = 0; dir < num_directions; ++dir) {
+        auto &reqs = by_dir[dir];
+        if (reqs.empty())
+            continue;
+        std::vector<PortIndex> free_ports;
+        for (unsigned k = 0; k < dilation; ++k) {
+            const PortIndex b = dir * dilation + k;
+            if (available[b])
+                free_ports.push_back(b);
+        }
+        Xoshiro256 draw(random_word ^
+                        (0x9e3779b97f4a7c15ULL * (dir + 1)));
+        if (randomize && reqs.size() > 1) {
+            const auto rot = static_cast<std::size_t>(
+                draw.below(reqs.size()));
+            std::rotate(reqs.begin(), reqs.begin() + rot, reqs.end());
+        }
+        for (std::size_t idx : reqs) {
+            if (free_ports.empty())
+                break;
+            const auto pick =
+                randomize ? static_cast<std::size_t>(
+                                draw.below(free_ports.size()))
+                          : 0;
+            result[idx].backwardPort = free_ports[pick];
+            free_ports.erase(free_ports.begin() +
+                             static_cast<std::ptrdiff_t>(pick));
+        }
+    }
+    return result;
+}
+
+TEST(Allocator, MatchesReferenceOnRandomRequestSets)
+{
+    Xoshiro256 rng(0xA110CULL);
+    std::vector<AllocGrant> reused; // keeps stale grants between calls
+    for (int trial = 0; trial < 10000; ++trial) {
+        const unsigned dilation = 1u << rng.below(3);     // 1, 2, 4
+        const unsigned ports = dilation << rng.below(4);  // ≤ 32
+        const unsigned forward = 1u << (1 + rng.below(4)); // 2..16
+        std::vector<bool> avail(ports);
+        for (unsigned b = 0; b < ports; ++b)
+            avail[b] = rng.below(4) != 0;
+        std::vector<AllocRequest> reqs;
+        for (unsigned f = 0; f < forward; ++f) {
+            if (rng.below(2) == 0)
+                reqs.push_back({f, static_cast<unsigned>(
+                                       rng.below(ports / dilation))});
+        }
+        const std::uint64_t word = rng.next();
+        const bool randomize = rng.below(2) == 0;
+        SCOPED_TRACE("trial " + std::to_string(trial));
+
+        const auto want =
+            referenceAllocate(reqs, avail, dilation, word, randomize);
+        const auto got =
+            allocateCrossbar(reqs, avail, dilation, word, randomize);
+        allocateCrossbar(reqs, avail, dilation, word, randomize,
+                         reused);
+        ASSERT_EQ(got.size(), want.size());
+        ASSERT_EQ(reused.size(), want.size());
+        for (std::size_t k = 0; k < want.size(); ++k) {
+            ASSERT_EQ(got[k].forwardPort, want[k].forwardPort);
+            ASSERT_EQ(got[k].backwardPort, want[k].backwardPort);
+            ASSERT_EQ(reused[k].forwardPort, want[k].forwardPort);
+            ASSERT_EQ(reused[k].backwardPort, want[k].backwardPort);
+        }
+    }
 }
 
 TEST(Allocator, EmptyRequestListIsFine)

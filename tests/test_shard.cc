@@ -7,9 +7,10 @@
  * ledger, metrics — may depend on the thread count. The property
  * tests here run seeded fault-campaign scenarios at threads
  * {1, 2, 4, 8} and compare everything byte for byte; the structural
- * tests pin down the plan itself (stage-aligned shard cuts, parked
- * empty shards, plan rebuilds across mid-campaign component
- * removal) through the engine's shard-introspection API.
+ * tests pin down the plan itself (several shards per thread that
+ * never straddle a stage, no empty shards on tiny networks, parked
+ * idle shards, plan rebuilds across mid-campaign component removal)
+ * through the engine's shard-introspection API.
  *
  * The whole suite doubles as the METRO_TSAN target (ci/tsan-engine.sh):
  * the saturated soak keeps every worker busy on shared lanes long
@@ -18,9 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fault/injector.hh"
@@ -170,10 +173,12 @@ stageBoundaries(Network &net)
 }
 
 /**
- * Every shard-id change along the registration order must land on a
- * stage boundary (valid whenever there are at least as many hint
- * groups as threads — the planner then never splits inside a
- * stage), and members must cover every parallel-safe component.
+ * The plan contract: the shards cover every parallel-safe component
+ * (and, in a plain build, every router and endpoint) with no empty
+ * shard; there are more shards than threads but at most
+ * Engine::kShardsPerThread per thread; every stage boundary starts a
+ * new shard, so no shard straddles a stage or the endpoint block;
+ * and halving keeps the largest shard within 2x the mean.
  */
 void
 expectStageAlignedPlan(Network &net, unsigned threads)
@@ -181,8 +186,9 @@ expectStageAlignedPlan(Network &net, unsigned threads)
     Engine &engine = net.engine();
     engine.setThreads(threads);
     const auto hints = stageBoundaries(net);
-    ASSERT_GE(engine.shardCount(), 2u);
-    ASSERT_LE(engine.shardCount(), threads);
+    const std::size_t shards = engine.shardCount();
+    ASSERT_GE(shards, 2u);
+    EXPECT_LE(shards, std::size_t{Engine::kShardsPerThread} * threads);
 
     std::size_t parallel_members = 0;
     int prev = -1;
@@ -192,21 +198,28 @@ expectStageAlignedPlan(Network &net, unsigned threads)
         if (shard < 0)
             continue; // serial section: drivers, probes, monitors
         ++parallel_members;
-        if (prev >= 0 && shard != prev) {
-            EXPECT_TRUE(hints.count(c) != 0)
-                << "shard boundary inside a stage at registration "
+        if (prev >= 0 && hints.count(c) != 0) {
+            EXPECT_NE(shard, prev)
+                << "stage boundary inside a shard at registration "
                    "index "
                 << i << " (" << c->name() << ")";
         }
         prev = shard;
     }
+    if (parallel_members > threads)
+        EXPECT_GT(shards, threads);
 
     std::size_t sharded = 0;
-    for (std::size_t k = 0; k < engine.shardCount(); ++k) {
+    std::size_t largest = 0;
+    for (std::size_t k = 0; k < shards; ++k) {
         EXPECT_GT(engine.shardMembers(k), 0u);
         sharded += engine.shardMembers(k);
+        largest = std::max(largest, engine.shardMembers(k));
     }
     EXPECT_EQ(sharded, parallel_members);
+    EXPECT_LE(largest * shards, 2 * sharded)
+        << "largest shard " << largest << " exceeds 2x the mean of "
+        << sharded << " members over " << shards << " shards";
 
     // A plain build has no observers/handlers: every router and
     // endpoint must have made it into the parallel section.
@@ -240,6 +253,59 @@ TEST(Shard, Mb1024PresetBuildsAndPartitions)
     EXPECT_EQ(net->numEndpoints(), 1024u);
     expectStageAlignedPlan(*net, 4);
     net->engine().run(50); // idle settle under the parallel plan
+}
+
+/** A short closed-loop run on `spec` at `threads`: its ledger and
+ *  metrics. */
+Outcome
+runClosedLoopScenario(const MultibutterflySpec &spec, unsigned threads)
+{
+    auto net = buildMultibutterfly(spec);
+    net->engine().setThreads(threads);
+    const MetricsRegistry base = net->metricsSnapshot();
+    ExperimentConfig cfg;
+    cfg.messageWords = 8;
+    cfg.warmup = 100;
+    cfg.measure = 800;
+    cfg.thinkTime = 20;
+    cfg.requestReply = true;
+    cfg.seed = 21;
+    runClosedLoop(*net, cfg);
+    Outcome out;
+    out.ledger = ledgerDump(*net);
+    out.metrics =
+        metricsJson(net->metricsSnapshot().deltaSince(base));
+    return out;
+}
+
+TEST(Shard, TinyNetworkManyThreadsHasNoEmptyShards)
+{
+    // More shard slots than a small network has members: the plan
+    // must stop at one member per shard, never emit an empty shard,
+    // and stay byte-identical to the serial engine.
+    for (const auto &[name, spec, threads] :
+         {std::tuple{"fig3", fig3Spec(6), 8u},
+          std::tuple{"fig1", fig1Spec(6), 16u}}) {
+        SCOPED_TRACE(name);
+        {
+            auto net = buildMultibutterfly(spec);
+            Engine &engine = net->engine();
+            engine.setThreads(threads);
+            std::size_t parallel_members = 0;
+            for (std::size_t i = 0; i < engine.scheduledCount(); ++i)
+                parallel_members +=
+                    engine.shardOf(engine.scheduledComponent(i)) >= 0;
+            EXPECT_GT(engine.shardCount(), threads);
+            EXPECT_LE(engine.shardCount(), parallel_members);
+            for (std::size_t k = 0; k < engine.shardCount(); ++k)
+                EXPECT_GT(engine.shardMembers(k), 0u);
+        }
+        const Outcome serial = runClosedLoopScenario(spec, 1);
+        const Outcome parallel = runClosedLoopScenario(spec, threads);
+        EXPECT_FALSE(serial.ledger.empty());
+        EXPECT_EQ(serial.ledger, parallel.ledger);
+        EXPECT_EQ(serial.metrics, parallel.metrics);
+    }
 }
 
 TEST(Shard, EmptyShardsParkWithoutDispatch)

@@ -230,7 +230,43 @@ TEST(Engine, ProfileCountsOnlyAttachedCyclesAndRunPhases)
         } else {
             EXPECT_EQ(profile.ns[EngineProfile::SerialTick], 0u);
         }
+        // The repeater is no router, NI or driver.
+        const auto other = static_cast<unsigned>(TickClass::Other);
+        for (unsigned k = 0; k < kTickClasses; ++k) {
+            if (k != other)
+                EXPECT_EQ(profile.classNs[k], 0u);
+        }
+        EXPECT_LE(profile.classNs[other],
+                  profile.ns[EngineProfile::SerialTick] +
+                      profile.ns[EngineProfile::SerialSection]);
     }
+
+    // A network under traffic on two threads: routers and NIs tick
+    // in shards, so 1a's efficiency is defined, and no class sum
+    // exceeds the phase time it came from.
+    auto net = buildMultibutterfly(fig1Spec(3));
+    Engine &engine = net->engine();
+    engine.setThreads(2);
+    for (NodeId s = 0; s < net->numEndpoints(); ++s)
+        net->endpoint(s).send(
+            static_cast<NodeId>((s + 5) % net->numEndpoints()),
+            {0x3, 0xA, 0x5}, true);
+    EngineProfile profile;
+    engine.setProfile(&profile);
+    engine.run(200);
+    engine.setProfile(nullptr);
+    EXPECT_GT(profile.classNs[static_cast<unsigned>(TickClass::Router)],
+              0u);
+    EXPECT_GT(
+        profile.classNs[static_cast<unsigned>(TickClass::Endpoint)], 0u);
+    EXPECT_GT(profile.parallelEfficiency(), 0.0);
+    EXPECT_LE(profile.parallelEfficiency(), 1.0);
+    EXPECT_LE(profile.shardNs, profile.parallelCapacityNs);
+    std::uint64_t class_sum = 0;
+    for (const std::uint64_t ns : profile.classNs)
+        class_sum += ns;
+    EXPECT_LE(class_sum, profile.shardNs +
+                             profile.ns[EngineProfile::SerialSection]);
 }
 
 TEST(Engine, RunUntilStopsEarly)

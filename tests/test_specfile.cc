@@ -5,9 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "app/specfile.hh"
 #include "network/presets.hh"
 #include "report/dot.hh"
+
+#ifndef METRO_TEST_DATA_DIR
+#define METRO_TEST_DATA_DIR "."
+#endif
 
 namespace metro
 {
@@ -177,6 +185,19 @@ TEST(SpecFile, RetryKeysParseAndRoundTrip)
 
     // Serializing the reparsed spec reproduces the text exactly.
     EXPECT_EQ(specToText(original), specToText(*reparsed));
+}
+
+TEST(SpecFile, Mb1024SpecFileMatchesPreset)
+{
+    // experiments/mb1024.spec is how the CLI reaches the 1024-endpoint
+    // preset (--spec-file); it must not drift from mb1024Spec(1).
+    const auto path = std::filesystem::path(METRO_TEST_DATA_DIR) /
+                      ".." / "experiments" / "mb1024.spec";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "cannot open " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), specToText(mb1024Spec(1)));
 }
 
 TEST(SpecFile, CommentsAndBlanksIgnored)

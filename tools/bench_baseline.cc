@@ -133,7 +133,7 @@ runScenario(const Scenario &s, bool quiesce, Cycle cycles,
 }
 
 /**
- * The parallel-engine scenario: mb1024 (1024 endpoints, 1280
+ * The parallel-engine scenario: mb1024 (1024 endpoints, 1536
  * routers over 5 stages) saturated closed-loop, quiescence on,
  * stepping with `threads` engine workers. Separate from
  * runScenario because the interesting axis here is the worker
@@ -325,7 +325,7 @@ main(int argc, char **argv)
 
     json << "  ],\n"
          << "  \"parallel\": {\n"
-         << "    \"network\": \"mb1024 (1024 endpoints, 1280 "
+         << "    \"network\": \"mb1024 (1024 endpoints, 1536 "
             "routers, 5 stages)\",\n"
          << "    \"cycles_per_rep\": " << pcycles << ",\n"
          << "    \"hardware_threads\": " << hw << ",\n"
