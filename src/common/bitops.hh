@@ -49,6 +49,15 @@ lowMask(unsigned n)
     return n >= 64 ? ~0ULL : ((1ULL << n) - 1);
 }
 
+/** Call f(i) for every set bit i of mask, in ascending order. */
+template <typename F>
+constexpr void
+forEachBit(std::uint64_t mask, F &&f)
+{
+    for (; mask != 0; mask &= mask - 1)
+        f(static_cast<unsigned>(std::countr_zero(mask)));
+}
+
 } // namespace metro
 
 #endif // METRO_COMMON_BITOPS_HH

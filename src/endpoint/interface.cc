@@ -1,6 +1,8 @@
 #include "endpoint/interface.hh"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "common/bitops.hh"
 
@@ -145,7 +147,9 @@ NetworkInterface::addInPort(Link *link)
 void
 NetworkInterface::addOutPortGroup(std::vector<Link *> slices)
 {
-    METRO_ASSERT(!slices.empty(), "empty slice group");
+    METRO_ASSERT(!slices.empty() && slices.size() <= kMaxCascade,
+                 "slice group of %zu links (1..%u)", slices.size(),
+                 kMaxCascade);
     if (out_.empty() && in_.empty())
         cascade_ = static_cast<unsigned>(slices.size());
     METRO_ASSERT(slices.size() == cascade_,
@@ -172,7 +176,9 @@ NetworkInterface::setOutPortEnabled(unsigned group, bool enabled)
 void
 NetworkInterface::addInPortGroup(std::vector<Link *> slices)
 {
-    METRO_ASSERT(!slices.empty(), "empty slice group");
+    METRO_ASSERT(!slices.empty() && slices.size() <= kMaxCascade,
+                 "slice group of %zu links (1..%u)", slices.size(),
+                 kMaxCascade);
     if (out_.empty() && in_.empty())
         cascade_ = static_cast<unsigned>(slices.size());
     METRO_ASSERT(slices.size() == cascade_,
@@ -246,7 +252,7 @@ namespace
 
 /** Reassemble slice symbols into a logical one. */
 Symbol
-assembleSlices(const std::vector<Symbol> &slices, unsigned slice_w,
+assembleSlices(std::span<const Symbol> slices, unsigned slice_w,
                bool &consistent)
 {
     Symbol out = slices.front();
@@ -310,11 +316,11 @@ NetworkInterface::readGroupUp(const std::vector<Link *> &group,
             s.value &= 0xffff;
         return s;
     }
-    std::vector<Symbol> slices;
-    slices.reserve(group.size());
-    for (Link *l : group)
-        slices.push_back(l->headUp());
-    return assembleSlices(slices, sliceWidth(), consistent);
+    std::array<Symbol, kMaxCascade> slices;
+    for (std::size_t k = 0; k < group.size(); ++k)
+        slices[k] = group[k]->headUp();
+    return assembleSlices({slices.data(), group.size()}, sliceWidth(),
+                          consistent);
 }
 
 Symbol
@@ -333,11 +339,11 @@ NetworkInterface::readGroupDown(const std::vector<Link *> &group,
             s.value &= 0xffff;
         return s;
     }
-    std::vector<Symbol> slices;
-    slices.reserve(group.size());
-    for (Link *l : group)
-        slices.push_back(l->headDown());
-    return assembleSlices(slices, sliceWidth(), consistent);
+    std::array<Symbol, kMaxCascade> slices;
+    for (std::size_t k = 0; k < group.size(); ++k)
+        slices[k] = group[k]->headDown();
+    return assembleSlices({slices.data(), group.size()}, sliceWidth(),
+                          consistent);
 }
 
 std::uint64_t

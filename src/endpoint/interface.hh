@@ -174,6 +174,10 @@ class NetworkInterface : public Component
     /** Slices per port group (1 = no cascading). */
     unsigned cascade() const { return cascade_; }
 
+    /** Most slices per port group: the checksum word packs one
+     *  CRC-16 per slice into a 64-bit Word. */
+    static constexpr unsigned kMaxCascade = 4;
+
     /** Install the topology's route computation. */
     void setRouteFunction(RouteFunction fn) { routeFn_ = std::move(fn); }
 

@@ -7,6 +7,17 @@
 namespace metro
 {
 
+namespace
+{
+
+constexpr std::uint64_t
+portBit(PortIndex p)
+{
+    return std::uint64_t{1} << p;
+}
+
+} // namespace
+
 const char *
 fwdPortStateName(FwdPortState state)
 {
@@ -46,9 +57,7 @@ MetroRouter::MetroRouter(RouterId id, const RouterParams &params,
     fMsgId_.resize(nf, 0);
     fLastTest_.resize(nf);
     bLink_.resize(nb, nullptr);
-    bBusy_.resize(nb, 0);
     bOwner_.resize(nb, kInvalidPort);
-    bRevRead_.resize(nb, 0);
     availScratch_.resize(nb, false);
     pendingScratch_.reserve(nf);
     allocScratch_.reserve(nf);
@@ -151,6 +160,7 @@ MetroRouter::attachForward(PortIndex p, Link *link)
     // A forward port reads the link's down lane: the router sits at
     // the B end and must wake when anything is pushed toward it.
     link->setWakeB(this);
+    link->setActivityBitB(&masks_.activeFwd, portBit(p));
 }
 
 void
@@ -161,6 +171,7 @@ MetroRouter::attachBackward(PortIndex p, Link *link)
     availDirty_ = true;
     // A backward port reads the link's up lane (A end).
     link->setWakeA(this);
+    link->setActivityBitA(&masks_.activeBwd, portBit(p));
 }
 
 unsigned
@@ -193,10 +204,10 @@ MetroRouter::extractDirection(const Symbol &header, Cycle cycle)
 void
 MetroRouter::refreshOffPortDrive()
 {
-    offPortDriveArmed_ = false;
-    for (std::size_t b = 0; b < bLink_.size(); ++b) {
+    offDrive_ = 0;
+    for (PortIndex b = 0; b < bLink_.size(); ++b) {
         if (!config_.backwardEnabled[b] && config_.offPortDrive[b])
-            offPortDriveArmed_ = true;
+            offDrive_ |= portBit(b);
     }
 }
 
@@ -204,13 +215,13 @@ void
 MetroRouter::fillAvailability()
 {
     // Refills the persistent scratch in place (no allocation).
-    for (std::size_t b = 0; b < bLink_.size(); ++b) {
+    for (PortIndex b = 0; b < bLink_.size(); ++b) {
         // Only the first backwardPortsUsed ports participate in
         // this network position (e.g. a dilation-1 radix-4 use of
         // an 8-output component wires only 4 outputs).
         availScratch_[b] = b < config_.backwardPortsUsed &&
-                           config_.backwardEnabled[b] && !bBusy_[b] &&
-                           bLink_[b] != nullptr;
+                           config_.backwardEnabled[b] &&
+                           !backwardBusy(b) && bLink_[b] != nullptr;
     }
 }
 
@@ -244,15 +255,21 @@ MetroRouter::pushStatusDown(PortIndex p, bool blocked)
 }
 
 void
+MetroRouter::unlinkBackward(PortIndex p)
+{
+    masks_.busy &= ~portBit(fBwd_[p]);
+    bOwner_[fBwd_[p]] = kInvalidPort;
+    fBwd_[p] = kInvalidPort;
+    availDirty_ = true;
+}
+
+void
 MetroRouter::freeConnection(PortIndex p)
 {
-    if (fBwd_[p] != kInvalidPort) {
-        bBusy_[fBwd_[p]] = 0;
-        bOwner_[fBwd_[p]] = kInvalidPort;
-        fBwd_[p] = kInvalidPort;
-        availDirty_ = true;
-    }
+    if (fBwd_[p] != kInvalidPort)
+        unlinkBackward(p);
     fState_[p] = FwdPortState::Idle;
+    masks_.nonIdle &= ~portBit(p);
     fConsumeLeft_[p] = 0;
     fFirstHeaderDone_[p] = 0;
     fSwallowFirst_[p] = 0;
@@ -282,7 +299,7 @@ MetroRouter::handleConnectedFwd(PortIndex p, const Symbol &sym,
 
     // Reverse-lane control first: a backward-control-bit drop from
     // a blocked router downstream reclaims this path segment.
-    bRevRead_[fBwd_[p]] = 1;
+    revRead_ |= portBit(fBwd_[p]);
     const Symbol rsym = down->headUp();
     if (rsym.kind == SymbolKind::BcbDrop) {
         ++*cBcbForwarded_;
@@ -291,10 +308,7 @@ MetroRouter::handleConnectedFwd(PortIndex p, const Symbol &sym,
         // undriven; the draining router below sees its stream end.
         // Model that with an explicit Drop down the old port.
         down->pushDown(Symbol::control(SymbolKind::Drop, fMsgId_[p]));
-        bBusy_[fBwd_[p]] = 0;
-        bOwner_[fBwd_[p]] = kInvalidPort;
-        fBwd_[p] = kInvalidPort;
-        availDirty_ = true;
+        unlinkBackward(p);
         fLink_[p]->pushUp(Symbol::control(SymbolKind::BcbDrop,
                                           fMsgId_[p]));
         fState_[p] = FwdPortState::Draining;
@@ -402,7 +416,7 @@ MetroRouter::handleConnectedRev(PortIndex p, const Symbol &sym,
             ++*mDiscardRouter_;
     }
 
-    bRevRead_[fBwd_[p]] = 1;
+    revRead_ |= portBit(fBwd_[p]);
     const Symbol rsym = down->headUp();
     if (rsym.occupied())
         fLastActivity_[p] = cycle;
@@ -448,10 +462,7 @@ MetroRouter::handleConnectedRev(PortIndex p, const Symbol &sym,
         // ConnectedFwd case for the Drop-down rationale).
         ++*cBcbForwarded_;
         down->pushDown(Symbol::control(SymbolKind::Drop, fMsgId_[p]));
-        bBusy_[fBwd_[p]] = 0;
-        bOwner_[fBwd_[p]] = kInvalidPort;
-        fBwd_[p] = kInvalidPort;
-        availDirty_ = true;
+        unlinkBackward(p);
         up->pushUp(Symbol::control(SymbolKind::BcbDrop, fMsgId_[p]));
         fState_[p] = FwdPortState::Draining;
         break;
@@ -464,21 +475,19 @@ MetroRouter::processForwardPort(PortIndex p, Cycle cycle)
     if (fLink_[p] == nullptr)
         return;
 
-    // The common case by far: an idle port whose arriving head is
-    // Empty (so there is nothing to observe, discard, or connect)
-    // — the idle-timeout path only applies to non-Idle states, so
-    // skip before materializing the symbol. A sleeping (inactive)
-    // link holds only Empty symbols, so its port is skipped without
-    // touching the arena at all. Otherwise the check reads the
-    // head's kind, not the lane occupancy: occupancy counts staged
-    // same-cycle pushes, which another shard may be writing
-    // concurrently, while the head slot is frozen for the whole of
-    // phase 1. An Empty head under Corrupt draws nothing from the
-    // fault PRNG, and a Dead link's head reads Empty, so skipping
-    // on kind is draw-for-draw identical to reading the symbol.
+    // An idle port whose arriving head is Empty has nothing to
+    // observe, discard, or connect — the idle-timeout path only
+    // applies to non-Idle states — so skip before materializing the
+    // symbol. (Idle ports on sleeping links never get here; see
+    // tick.) The check reads the head's kind, not the lane
+    // occupancy: occupancy counts staged same-cycle pushes, which
+    // another shard may be writing concurrently, while the head
+    // slot is frozen for the whole of phase 1. An Empty head under
+    // Corrupt draws nothing from the fault PRNG, and a Dead link's
+    // head reads Empty, so skipping on kind is draw-for-draw
+    // identical to reading the symbol.
     if (fState_[p] == FwdPortState::Idle &&
-        (!fLink_[p]->active() ||
-         fLink_[p]->peekKindDown() == SymbolKind::Empty))
+        fLink_[p]->peekKindDown() == SymbolKind::Empty)
         return;
 
     const Symbol sym = fLink_[p]->headDown();
@@ -614,6 +623,8 @@ MetroRouter::runAllocation(Cycle cycle)
         const auto &grant = lastGrants_[k];
         const PortIndex p = req.fwd;
         ++*cRequests_;
+        // Granted or blocked, the port leaves Idle.
+        masks_.nonIdle |= portBit(p);
 
         if (grant.granted()) {
             ++*cGrants_;
@@ -626,7 +637,7 @@ MetroRouter::runAllocation(Cycle cycle)
             fMsgId_[p] = req.header.msgId;
             fCrc_[p].reset();
             fLastActivity_[p] = cycle;
-            bBusy_[grant.backwardPort] = 1;
+            masks_.busy |= portBit(grant.backwardPort);
             bOwner_[grant.backwardPort] = req.fwd;
             availDirty_ = true;
 
@@ -693,17 +704,16 @@ MetroRouter::tick(Cycle cycle)
             // A dead router consumes nothing: census the Data
             // words arriving on its lanes this cycle so the
             // conservation identity survives router failures.
-            // Kind-only peeks never touch the fault PRNG.
-            for (const auto *l : fLink_) {
-                if (l != nullptr &&
-                    l->peekKindDown() == SymbolKind::Data)
+            // Kind-only peeks never touch the fault PRNG; sleeping
+            // links hold no Data and are not peeked.
+            forEachBit(masks_.activeFwd, [&](unsigned p) {
+                if (fLink_[p]->peekKindDown() == SymbolKind::Data)
                     ++*mDiscardRouter_;
-            }
-            for (const auto *l : bLink_) {
-                if (l != nullptr &&
-                    l->peekKindUp() == SymbolKind::Data)
+            });
+            forEachBit(masks_.activeBwd, [&](unsigned b) {
+                if (bLink_[b]->peekKindUp() == SymbolKind::Data)
                     ++*mDiscardRouter_;
-            }
+            });
         }
         return;
     }
@@ -718,11 +728,16 @@ MetroRouter::tick(Cycle cycle)
         availDirty_ = false;
     }
 
-    std::fill(bRevRead_.begin(), bRevRead_.end(), 0);
+    revRead_ = 0;
 
+    // Only ports in visitedForwardPorts(): any other port is Idle on
+    // a sleeping link, which holds only Empty symbols, so it would
+    // do nothing. The mask is taken once, before the loop; a port's
+    // handler changes only its own state, and a link it wakes reads
+    // Empty this cycle.
     pendingScratch_.clear();
-    for (PortIndex p = 0; p < fLink_.size(); ++p)
-        processForwardPort(p, cycle);
+    forEachBit(visitedForwardPorts(),
+               [&](unsigned p) { processForwardPort(p, cycle); });
 
     runAllocation(cycle);
 
@@ -733,32 +748,20 @@ MetroRouter::tick(Cycle cycle)
         // Kind-only peeks never touch the fault PRNG, so the census
         // is invisible to the simulation proper; a sleeping link
         // holds no Data and is not peeked at all.
-        unsigned busyPorts = 0;
-        for (std::size_t b = 0; b < bLink_.size(); ++b) {
-            if (bBusy_[b])
-                ++busyPorts;
-            if (bLink_[b] != nullptr && !bRevRead_[b] &&
-                bLink_[b]->active() &&
-                bLink_[b]->peekKindUp() == SymbolKind::Data) {
+        forEachBit(masks_.activeBwd & ~revRead_, [&](unsigned b) {
+            if (bLink_[b]->peekKindUp() == SymbolKind::Data)
                 ++*mDiscardRouter_;
-            }
-        }
-        occupancy_->sample(busyPorts);
+        });
+        occupancy_->sample(
+            static_cast<unsigned>(std::popcount(masks_.busy)));
     }
 
     // Off Port Drive Output (Table 2): disabled backward ports with
-    // drive enabled hold the wire at DATA-IDLE. Armed only while
-    // some disabled port has drive configured (rare).
-    if (offPortDriveArmed_) {
-        for (PortIndex b = 0; b < bLink_.size(); ++b) {
-            if (!config_.backwardEnabled[b] &&
-                config_.offPortDrive[b] && bLink_[b] != nullptr &&
-                !bBusy_[b]) {
-                bLink_[b]->pushDown(
-                    Symbol::control(SymbolKind::DataIdle));
-            }
-        }
-    }
+    // drive enabled hold the wire at DATA-IDLE (rare).
+    forEachBit(offDrive_ & ~masks_.busy, [&](unsigned b) {
+        if (bLink_[b] != nullptr)
+            bLink_[b]->pushDown(Symbol::control(SymbolKind::DataIdle));
+    });
 }
 
 void
@@ -776,7 +779,7 @@ MetroRouter::setBackwardEnabled(PortIndex p, bool enabled)
 {
     METRO_ASSERT(p < bLink_.size(), "backward port %u out of range", p);
     wake();
-    if (!enabled && bBusy_[p])
+    if (!enabled && backwardBusy(p))
         teardownPort(bOwner_[p]);
     config_.backwardEnabled[p] = enabled;
     availDirty_ = true;
@@ -814,7 +817,7 @@ bool
 MetroRouter::backwardBusy(PortIndex p) const
 {
     METRO_ASSERT(p < bLink_.size(), "backward port %u out of range", p);
-    return bBusy_[p] != 0;
+    return (masks_.busy & portBit(p)) != 0;
 }
 
 PortIndex
@@ -831,14 +834,8 @@ MetroRouter::canSleep() const
     // Any attached active link may deliver a symbol (or, dead with
     // words still draining, needs its exit census observed): stay
     // awake until every lane is fast-pathed.
-    for (const auto *l : fLink_) {
-        if (l != nullptr && l->active())
-            return false;
-    }
-    for (const auto *l : bLink_) {
-        if (l != nullptr && l->active())
-            return false;
-    }
+    if ((masks_.activeFwd | masks_.activeBwd) != 0)
+        return false;
     // A dead router's tick is a pure peek census — a no-op on
     // drained lanes regardless of connection state left behind.
     if (dead_)
@@ -849,13 +846,12 @@ MetroRouter::canSleep() const
     // check cannot be replaced by "the driven link is active": a
     // wake between the drive becoming effective and our next tick
     // (e.g. setBackwardEnabled(false)) would otherwise re-sleep us
-    // before the first DATA-IDLE ever goes out.
-    for (PortIndex b = 0; b < bLink_.size(); ++b) {
-        if (!config_.backwardEnabled[b] && config_.offPortDrive[b] &&
-            bLink_[b] != nullptr && !bBusy_[b])
-            return false;
-    }
-    return true;
+    // before the first DATA-IDLE ever goes out. (Quiescent: no
+    // port is busy.)
+    bool driving = false;
+    forEachBit(offDrive_,
+               [&](unsigned b) { driving |= bLink_[b] != nullptr; });
+    return !driving;
 }
 
 void
@@ -867,20 +863,6 @@ MetroRouter::syncSkipped(Cycle from, Cycle upto)
     // is bit-identical with the scheduler on and off.
     if (metrics_ != nullptr && !dead_ && upto > from)
         occupancy_->sample(0, upto - from);
-}
-
-bool
-MetroRouter::quiescent() const
-{
-    for (const auto state : fState_) {
-        if (state != FwdPortState::Idle)
-            return false;
-    }
-    for (const auto busy : bBusy_) {
-        if (busy)
-            return false;
-    }
-    return true;
 }
 
 Symbol
@@ -904,7 +886,7 @@ void
 MetroRouter::releaseBackward(PortIndex b)
 {
     METRO_ASSERT(b < bLink_.size(), "backward port %u out of range", b);
-    if (bBusy_[b]) {
+    if (backwardBusy(b)) {
         counters_.add("cascadeShutdown");
         freeConnection(bOwner_[b]);
     }
@@ -913,12 +895,10 @@ MetroRouter::releaseBackward(PortIndex b)
 void
 MetroRouter::shutdownAllConnections()
 {
-    for (PortIndex p = 0; p < fLink_.size(); ++p) {
-        if (fState_[p] != FwdPortState::Idle) {
-            counters_.add("cascadeShutdown");
-            freeConnection(p);
-        }
-    }
+    forEachBit(masks_.nonIdle, [&](unsigned p) {
+        counters_.add("cascadeShutdown");
+        freeConnection(p);
+    });
 }
 
 } // namespace metro

@@ -233,11 +233,41 @@ class MetroRouter : public Component
     const CounterSet &counters() const { return counters_; }
     CounterSet &counters() { return counters_; }
     /** True when no port holds any connection state. */
-    bool quiescent() const;
+    bool
+    quiescent() const
+    {
+        return (masks_.nonIdle | masks_.busy) == 0;
+    }
     /** Last Test symbol observed on a disabled forward port. */
     Symbol lastTestSymbol(PortIndex p) const;
     /** Drive a Test symbol out a *disabled* backward port. */
     void driveTestSymbol(PortIndex p, const Symbol &s);
+
+    /**
+     * Port masks, bit p standing for port p (ports ≤ 64 per side,
+     * RouterParams::validate). Derived state: activeFwd/activeBwd
+     * mirror the attached links' activity flags (written by the
+     * links themselves, see Link::setActivityBitA), nonIdle and
+     * busy mirror fState_ and the backward-port ownership. A
+     * checkpoint stores none of them; restore rebuilds them.
+     */
+    struct PortMasks
+    {
+        std::uint64_t activeFwd = 0; ///< forward port's link active
+        std::uint64_t activeBwd = 0; ///< backward port's link active
+        std::uint64_t nonIdle = 0;   ///< forward state is not Idle
+        std::uint64_t busy = 0;      ///< backward port owned
+    };
+    const PortMasks &portMasks() const { return masks_; }
+
+    /** Forward ports a tick visits, in ascending order. Every other
+     *  port is Idle on a sleeping (or no) link, so it would read
+     *  Empty and do nothing. */
+    std::uint64_t
+    visitedForwardPorts() const
+    {
+        return masks_.activeFwd | masks_.nonIdle;
+    }
     /** @} */
 
     /**
@@ -293,6 +323,7 @@ class MetroRouter : public Component
     void pushStatusUp(PortIndex p, bool blocked);
     void pushStatusDown(PortIndex p, bool blocked);
     Symbol makeStatus(PortIndex p, bool blocked) const;
+    void unlinkBackward(PortIndex p);
     void freeConnection(PortIndex p);
     void teardownPort(PortIndex p);
     unsigned directionBits() const;
@@ -311,12 +342,14 @@ class MetroRouter : public Component
     Xoshiro256 misrouteRng_;
 
     /**
-     * Per-port connection state, structure-of-arrays: the tick loop
-     * walks ports field by field (the state scan touches fState_ and
-     * fLink_ only for idle ports), so each array stays hot instead
-     * of striding over one big per-port record. All forward arrays
-     * are indexed by forward-port number, backward arrays by
-     * backward-port number; sizes are fixed at construction. @{
+     * Per-port connection state, structure-of-arrays: a tick visits
+     * only the forward ports in visitedForwardPorts() and censuses
+     * only active backward links (ctz loops over masks_), touching
+     * each visited port's fields, so a router with one connection
+     * pays for one port, not for its width. All forward arrays are
+     * indexed by forward-port number, backward arrays by
+     * backward-port number; sizes are fixed at construction.
+     * One-bit-per-port facts live in masks_ and the masks below. @{
      */
     std::vector<Link *> fLink_;
     std::vector<FwdPortState> fState_;
@@ -339,11 +372,11 @@ class MetroRouter : public Component
     std::vector<Symbol> fLastTest_;
 
     std::vector<Link *> bLink_;
-    std::vector<std::uint8_t> bBusy_;
     std::vector<PortIndex> bOwner_;
-    /** Reverse lane consumed by a connection handler this tick
-     *  (unread lanes are censused for word conservation). */
-    std::vector<std::uint8_t> bRevRead_;
+    PortMasks masks_;
+    /** Reverse lanes consumed by a connection handler this tick
+     *  (unread active lanes are censused for word conservation). */
+    std::uint64_t revRead_ = 0;
     /** @} */
 
     /** Per-tick scratch, allocated once (the former per-tick
@@ -354,16 +387,16 @@ class MetroRouter : public Component
     /** @} */
 
     /** availScratch_ needs refilling: some availability input
-     *  (bBusy_, backwardEnabled, an attached link) changed since
+     *  (masks_.busy, backwardEnabled, an attached link) changed since
      *  the last fill. Mutations mid-tick leave this cycle's
      *  snapshot stale on purpose — a port freed in cycle t accepts
      *  new connections from t+1. */
     bool availDirty_ = true;
 
-    /** Some disabled backward port has off-port drive enabled, so
-     *  the per-tick DATA-IDLE drive loop must run (recomputed on
+    /** Disabled backward ports with off-port drive enabled: the
+     *  free ones among them get DATA-IDLE every tick (recomputed on
      *  the rare enable/disable reconfigurations). */
-    bool offPortDriveArmed_ = false;
+    std::uint64_t offDrive_ = 0;
 
     std::vector<AllocGrant> lastGrants_;
     CounterSet counters_;

@@ -378,7 +378,7 @@ CheckpointIO::saveRouter(StateWriter &w, const MetroRouter &rt)
     putRng(w, rt.misrouteRng_);
 
     const std::size_t nF = rt.fState_.size();
-    const std::size_t nB = rt.bBusy_.size();
+    const std::size_t nB = rt.bLink_.size();
     w.u64(nF);
     w.u64(nB);
     for (std::size_t p = 0; p < nF; ++p) {
@@ -395,11 +395,11 @@ CheckpointIO::saveRouter(StateWriter &w, const MetroRouter &rt)
         putSymbol(w, rt.fLastTest_[p]);
     }
     for (std::size_t b = 0; b < nB; ++b) {
-        w.u8(rt.bBusy_[b]);
+        w.u8((rt.masks_.busy >> b) & 1);
         w.u32(rt.bOwner_[b]);
-        w.u8(rt.bRevRead_[b]);
+        w.u8((rt.revRead_ >> b) & 1);
     }
-    w.u8(rt.offPortDriveArmed_ ? 1 : 0);
+    w.u8(rt.offDrive_ != 0 ? 1 : 0);
     putCounterSet(w, rt.counters_);
 }
 
@@ -407,7 +407,7 @@ void
 CheckpointIO::restoreRouter(StateReader &r, MetroRouter &rt)
 {
     const std::size_t nFwd = rt.fState_.size();
-    const std::size_t nBwd = rt.bBusy_.size();
+    const std::size_t nBwd = rt.bLink_.size();
 
     RouterConfig cfg;
     cfg.dilation = r.u32();
@@ -487,6 +487,8 @@ CheckpointIO::restoreRouter(StateReader &r, MetroRouter &rt)
         rt.fMsgId_[p] = msgId;
         rt.fLastTest_[p] = lastTest;
     }
+    rt.masks_.busy = 0;
+    rt.revRead_ = 0;
     for (std::size_t b = 0; b < nBwd && r.ok(); ++b) {
         const std::uint8_t busy = r.u8();
         const PortIndex owner = r.u32();
@@ -497,17 +499,27 @@ CheckpointIO::restoreRouter(StateReader &r, MetroRouter &rt)
             r.fail("backward port's owner index out of range");
             break;
         }
-        rt.bBusy_[b] = busy != 0 ? 1 : 0;
+        if (busy != 0)
+            rt.masks_.busy |= std::uint64_t{1} << b;
         rt.bOwner_[b] = owner;
-        rt.bRevRead_[b] = revRead != 0 ? 1 : 0;
+        if (revRead != 0)
+            rt.revRead_ |= std::uint64_t{1} << b;
     }
-    rt.offPortDriveArmed_ = r.u8() != 0;
+    (void)r.u8(); // off-port drive armed: derived from the config
     getCounterSet(r, rt.counters_);
     if (!r.ok())
         return;
-    // Derived per-tick state: the availability snapshot must be
-    // refilled from the restored config/busy flags, and stale grant
-    // records from the pre-restore instance dropped.
+    // Derived state: the forward ports' non-Idle mask, the off-port
+    // drive mask, the availability snapshot (refilled from the
+    // restored config/busy flags), and no stale grant records from
+    // the pre-restore instance. The link-activity masks are rebuilt
+    // by the link restore (Link::syncActivityBits).
+    rt.masks_.nonIdle = 0;
+    for (std::size_t p = 0; p < nFwd; ++p) {
+        if (rt.fState_[p] != FwdPortState::Idle)
+            rt.masks_.nonIdle |= std::uint64_t{1} << p;
+    }
+    rt.refreshOffPortDrive();
     rt.availDirty_ = true;
     rt.lastGrants_.clear();
 }
@@ -1246,9 +1258,11 @@ CheckpointIO::restore(StateReader &r, std::uint64_t digest,
             return "invalid link fault state";
         // Direct writes, not setFault(): the side effects (census
         // seeding, reactivation) already happened before the save;
-        // the arena flags carry the resulting state.
+        // the arena flags carry the resulting state. The end
+        // components' port-activity bits are derived from the flag.
         l->fault_ = static_cast<LinkFault>(fault);
         l->active_ = active;
+        l->syncActivityBits();
     }
 
     expectTag(r, kTagCascades, "CASC");

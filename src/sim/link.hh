@@ -328,6 +328,7 @@ class Link
         if (!active_)
             return;
         active_ = false;
+        syncActivityBits();
         arena_->setPaused(down_, true);
         arena_->setPaused(up_, true);
         if (wakeA_ != nullptr)
@@ -344,6 +345,7 @@ class Link
     {
         if (!active_) {
             active_ = true;
+            syncActivityBits();
             arena_->setPaused(down_, false);
             arena_->setPaused(up_, false);
             if (wakeA_ != nullptr)
@@ -385,6 +387,28 @@ class Link
         wakeB_ = c;
     }
 
+    /**
+     * Port-activity mask bits: the end component's mask word and
+     * the bit standing for this link in it (a router keeps one
+     * word per port side, see MetroRouter). The bit mirrors
+     * active(): set here if the link is active, then set by
+     * activate() and cleared by deactivate(). @{
+     */
+    void
+    setActivityBitA(std::uint64_t *mask, std::uint64_t bit)
+    {
+        activityA_ = {mask, bit};
+        activityA_.sync(active_);
+    }
+
+    void
+    setActivityBitB(std::uint64_t *mask, std::uint64_t bit)
+    {
+        activityB_ = {mask, bit};
+        activityB_.sync(active_);
+    }
+    /** @} */
+
     /** Registered wake targets (engine: candidate collection when a
      *  link deactivates mid-advance). @{ */
     Component *wakeA() const { return wakeA_; }
@@ -404,6 +428,29 @@ class Link
 
   private:
     friend class CheckpointIO;
+
+    /** One end's registration in a port-activity mask. */
+    struct ActivityBit
+    {
+        std::uint64_t *mask = nullptr;
+        std::uint64_t bit = 0;
+
+        void
+        sync(bool on) const
+        {
+            if (mask != nullptr)
+                *mask = on ? *mask | bit : *mask & ~bit;
+        }
+    };
+
+    /** Make both ends' mask bits agree with active_ (activate,
+     *  deactivate, and checkpoint restore's direct flag write). */
+    void
+    syncActivityBits() const
+    {
+        activityA_.sync(active_);
+        activityB_.sync(active_);
+    }
 
     /**
      * Activation on the push path: inline in serial execution,
@@ -464,10 +511,13 @@ class Link
     Xoshiro256 faultRng_;
     /** Activity flag (see activate()); starts active, the engine's
      *  first sleep evaluation fast-paths drained links. Mirrored
-     *  into the arena's per-lane pause bits for advanceAll. */
+     *  into the arena's per-lane pause bits for advanceAll and into
+     *  the end components' port-activity masks (activityA_/B_). */
     bool active_ = true;
     Component *wakeA_ = nullptr;
     Component *wakeB_ = nullptr;
+    ActivityBit activityA_;
+    ActivityBit activityB_;
     bool *planDirty_ = nullptr;
 };
 

@@ -24,8 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -205,10 +207,12 @@ runUninterrupted(std::uint64_t seed, const BuildOpts &b)
  * The same scenario cut at kCut: run to the checkpoint, throw the
  * whole process image away, rebuild from scratch, restore, and run
  * the remainder. Returns only what the *resumed* image observes.
+ * `atCut`, when set, inspects the saving image at the cut.
  */
 ServeOutcome
 runWithRestart(std::uint64_t seed, const BuildOpts &save,
-               const BuildOpts &restore, const std::string &path)
+               const BuildOpts &restore, const std::string &path,
+               const std::function<void(Network &)> &atCut = {})
 {
     {
         auto si = buildServeInstance(seed, save);
@@ -220,6 +224,8 @@ runWithRestart(std::uint64_t seed, const BuildOpts &save,
         cfg.checkpointAt = kCut;
         ServiceRunner runner(cfg, si->participants());
         EXPECT_EQ(runner.run(), "");
+        if (atCut)
+            atCut(*si->net);
     }
     auto si = buildServeInstance(seed, restore);
     ServeConfig cfg;
@@ -309,6 +315,44 @@ TEST(Serve, RestoreAcrossEngineThreadCounts)
                                std::to_string(saveT) + "_" +
                                std::to_string(restoreT) +
                                ".ckpt"));
+        expectResumeMatches(full, resumed);
+    }
+}
+
+TEST(PortMasks, MidRunRestoreIsByteIdenticalAtThreads1And4)
+{
+    // The router port masks are derived state a restore rebuilds
+    // (link activity from the links' flags, busy and non-Idle from
+    // the port arrays). Cut where the network holds all of it —
+    // sleeping links, active links and busy backward ports — and
+    // require the resumed JSONL, metrics, ledger and wire trace to
+    // match the uninterrupted run at engine threads 1 and 4.
+    BuildOpts b;
+    b.withProbe = true;
+    const ServeOutcome full = runUninterrupted(0xF00D, b);
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("restore threads " + std::to_string(threads));
+        BuildOpts restore = b;
+        restore.threads = threads;
+        unsigned sleeping = 0, active = 0, busy = 0;
+        const auto atCut = [&](Network &net) {
+            for (LinkId l = 0; l < net.numLinks(); ++l) {
+                const Link &link = net.link(l);
+                if (link.endB().kind == AttachKind::RouterForward ||
+                    link.endA().kind == AttachKind::RouterBackward)
+                    ++(link.active() ? active : sleeping);
+            }
+            for (RouterId r = 0; r < net.numRouters(); ++r)
+                busy += std::popcount(net.router(r).portMasks().busy);
+        };
+        const ServeOutcome resumed = runWithRestart(
+            0xF00D, b, restore,
+            tempCheckpointPath("metro_port_masks_t" +
+                               std::to_string(threads) + ".ckpt"),
+            atCut);
+        EXPECT_GT(sleeping, 0u);
+        EXPECT_GT(active, 0u);
+        EXPECT_GT(busy, 0u);
         expectResumeMatches(full, resumed);
     }
 }
