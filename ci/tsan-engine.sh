@@ -9,13 +9,16 @@
 # boundary lanes) — plus the thread-parameterized quiescence
 # equivalence tests, the tick-pool tests (including the growing-batch
 # straggler stress test), the concurrent checkpoint-writer tests
-# (four threads writing durable checkpoints at once) and the router
+# (four threads writing durable checkpoints at once), the router
 # port-mask tests (masks are written at the 1b barrier, in the 1c
-# serial section and by the phase-2 sleep fold, and read by the 1a
-# parallel ticks), under ThreadSanitizer. Any unsynchronized access
-# in the tick pool, the deferred-activation exchange, the chunked
-# phase-2 commit, the scratch-metrics flush, the port masks or the
-# checkpoint write-fault hook fails the job.
+# serial section and by the drain fold, and read by the 1a parallel
+# ticks) and the lane-arena tests (shards on pool threads push
+# straight into lanes other shards read, and file drain events in
+# per-shard wheels), under ThreadSanitizer. Any unsynchronized access
+# in the tick pool, the deferred-activation exchange, the lane
+# arena's cross-shard writes or drain wheels, the scratch-metrics
+# flush, the port masks or the checkpoint write-fault hook fails the
+# job.
 #
 # Usage: ci/tsan-engine.sh [build-dir]   (default: build-tsan)
 # (Shares build-tsan with ci/tsan-sweep.sh by default: same
@@ -31,4 +34,4 @@ cmake -B "$BUILD" -S . \
     -DMETRO_TSAN=ON
 cmake --build "$BUILD" -j "$(nproc)" --target metro_tests
 ctest --test-dir "$BUILD" --output-on-failure \
-    -R 'Shard|QuiescenceAtThreads|Pool\.|ConcurrentCheckpointWriters|PortMasks\.'
+    -R 'Shard|QuiescenceAtThreads|Pool\.|ConcurrentCheckpointWriters|PortMasks\.|LaneArena\.'

@@ -23,8 +23,9 @@ FaultInjector::apply(const FaultEvent &event)
 {
     // Every mutator below participates in the engine's wakeup
     // protocol: Link::setFault reactivates a fast-pathed link (so
-    // the death census in Link::advance() runs and charges draining
-    // words to words.discarded.wire) and wakes both end components;
+    // the death census in the engine's drain fold runs and charges
+    // draining words to words.discarded.wire) and wakes both end
+    // components;
     // the router hooks wake a sleeping router *before* mutating it.
     // Faults therefore land identically whether or not the target
     // was quiescent when the event fired.

@@ -64,8 +64,8 @@ class Network
     {
         auto id = static_cast<LinkId>(links_.size());
         // Lanes are allocated out of the network-wide arena in link
-        // creation order, so the engine's advance pass streams
-        // through one flat slot array (see sim/arena.hh).
+        // creation order: one flat slot array that the engine ticks
+        // once per cycle (see sim/arena.hh).
         links_.push_back(std::make_unique<Link>(
             id, down_latency, up_latency, fault_seed, &arena_));
         return links_.back().get();

@@ -231,12 +231,12 @@ class CheckpointIO
                                const CheckpointParticipants &parts,
                                std::vector<std::uint8_t> *harness);
 
+    static void saveArena(StateWriter &w, const LaneArena &a);
+    static void restoreArena(StateReader &r, LaneArena &a);
+
   private:
     static void putHistogram(StateWriter &w, const LogHistogram &h);
     static void getHistogram(StateReader &r, LogHistogram &h);
-
-    static void saveArena(StateWriter &w, const LaneArena &a);
-    static void restoreArena(StateReader &r, LaneArena &a);
 
     static void saveRouter(StateWriter &w, const MetroRouter &rt);
     static void restoreRouter(StateReader &r, MetroRouter &rt);
@@ -282,23 +282,46 @@ CheckpointIO::getHistogram(StateReader &r, LogHistogram &h)
     h.sum_ = sum;
 }
 
+/*
+ * The arena section keeps the format-v3 layout of the rotating-ring
+ * arena the clock-indexed one replaced: per lane, L ring slots
+ * (lanes back to back), a head cursor into them, an occupancy, a
+ * staged push with its flag, and the flag byte. The clock ring maps
+ * onto it with a canonical head — the first slot of each lane, which
+ * holds the symbol read in the lane's current cycle T, the next slot
+ * the one read at T + 1, and so on — and a staged push only where
+ * the lane has one (a lane frozen mid-cycle). Occupancy is derived.
+ */
 void
 CheckpointIO::saveArena(StateWriter &w, const LaneArena &a)
 {
-    w.u64(a.base_.size());
-    w.u64(a.slots_.size());
-    for (const Symbol &s : a.slots_)
-        putSymbol(w, s);
-    for (std::uint32_t h : a.head_)
-        w.u32(h);
-    for (std::uint32_t o : a.occupied_)
-        w.u32(o);
-    for (const Symbol &s : a.pending_)
-        putSymbol(w, s);
-    for (std::uint8_t p : a.pushed_)
-        w.u8(p);
-    for (std::uint8_t f : a.flags_)
-        w.u8(f);
+    const auto lanes = static_cast<LaneId>(a.lanes());
+    const auto clock = [&a](LaneId lane) { return a.clock(a.ref(lane)); };
+    const auto at = [&a](LaneId lane, Cycle t) {
+        return a.symbolAt(a.rings_[lane], t);
+    };
+    w.u64(lanes);
+    w.u64(a.imageSlots_);
+    for (LaneId lane = 0; lane < lanes; ++lane) {
+        const Cycle T = clock(lane);
+        for (Cycle t = T - a.latency(lane); t != T; ++t)
+            putSymbol(w, at(lane, t));
+    }
+    std::uint32_t base = 0;
+    for (LaneId lane = 0; lane < lanes; ++lane) {
+        w.u32(base);
+        base += a.latency(lane);
+    }
+    for (LaneId lane = 0; lane < lanes; ++lane)
+        w.u32(a.occupied(lane));
+    for (LaneId lane = 0; lane < lanes; ++lane)
+        putSymbol(w, at(lane, clock(lane)));
+    for (LaneId lane = 0; lane < lanes; ++lane) {
+        const Cycle T = clock(lane);
+        w.u8(a.written(a.slotAt(a.rings_[lane], T), T) ? 1 : 0);
+    }
+    for (LaneId lane = 0; lane < lanes; ++lane)
+        w.u8(a.flags_[lane] & LaneArena::kPersistedFlags);
 }
 
 void
@@ -308,50 +331,81 @@ CheckpointIO::restoreArena(StateReader &r, LaneArena &a)
     const std::uint64_t slots = r.u64();
     if (!r.ok())
         return;
-    if (lanes != a.base_.size() || slots != a.slots_.size()) {
+    if (lanes != a.lanes() || slots != a.imageSlots_) {
         r.fail("arena geometry mismatch");
         return;
     }
-    for (Symbol &s : a.slots_)
+    // Read and check the whole image before touching the arena.
+    std::vector<Symbol> ring(slots);
+    for (Symbol &s : ring)
         getSymbol(r, s);
-    for (std::uint64_t i = 0; i < lanes && r.ok(); ++i) {
-        const std::uint32_t h = r.u32();
-        if (!r.ok())
-            break;
-        // The head cursor indexes the flat slot array; keep it
-        // inside this lane's ring or the advance pass reads out of
-        // bounds.
-        if (h < a.base_[i] || h >= a.end_[i]) {
+    std::vector<std::uint32_t> head(lanes), occupancy(lanes);
+    std::vector<Symbol> pending(lanes);
+    std::vector<std::uint8_t> pushed(lanes), flags(lanes);
+    std::uint32_t base = 0;
+    for (LaneId lane = 0; lane < lanes && r.ok(); ++lane) {
+        head[lane] = r.u32();
+        // The cursor indexes this lane's slots of the image.
+        if (r.ok() && (head[lane] < base ||
+                       head[lane] >= base + a.latency(lane)))
             r.fail("lane head cursor out of range");
-            break;
-        }
-        a.head_[i] = h;
+        base += a.latency(lane);
     }
-    for (std::uint64_t i = 0; i < lanes && r.ok(); ++i)
-        a.occupied_[i] = r.u32();
-    for (Symbol &s : a.pending_) {
-        if (!r.ok())
-            break;
+    for (std::uint32_t &o : occupancy)
+        o = r.u32();
+    for (Symbol &s : pending)
         getSymbol(r, s);
-    }
-    for (std::uint64_t i = 0; i < lanes && r.ok(); ++i)
-        a.pushed_[i] = r.u8() != 0 ? 1 : 0;
-    for (std::uint64_t i = 0; i < lanes && r.ok(); ++i) {
-        const std::uint8_t f = r.u8();
-        if (!r.ok())
-            break;
-        if ((f & ~(LaneArena::kLanePaused | LaneArena::kLaneFrozen |
-                   LaneArena::kCensusMask)) != 0) {
+    for (std::uint8_t &p : pushed)
+        p = r.u8();
+    for (std::uint8_t &f : flags) {
+        f = r.u8();
+        if (r.ok() && (f & ~LaneArena::kPersistedFlags) != 0)
             r.fail("unknown lane flag bits");
-            break;
-        }
-        a.flags_[i] = f;
     }
     if (!r.ok())
         return;
-    // Derived: the sleeping-lane tally the fastpath accounting reads
-    // and the live-lane set the advance pass walks.
-    a.rederiveFromFlags();
+    base = 0;
+    for (LaneId lane = 0; lane < lanes; ++lane) {
+        const unsigned L = a.latency(lane);
+        unsigned held = pushed[lane] != 0 &&
+                                pending[lane].kind != SymbolKind::Empty
+                            ? 1
+                            : 0;
+        for (unsigned k = 0; k < L; ++k)
+            held += ring[base + k].kind != SymbolKind::Empty ? 1 : 0;
+        if (held != occupancy[lane]) {
+            r.fail("lane occupancy disagrees with its symbols");
+            return;
+        }
+        // A sleeping link's lanes hold nothing (see Link::activate).
+        if (held != 0 && (flags[lane] & (LaneArena::kLanePaused |
+                                         LaneArena::kLaneFrozen)) ==
+                             LaneArena::kLanePaused) {
+            r.fail("paused lane holds symbols");
+            return;
+        }
+        base += L;
+    }
+
+    // Map the image into the clock ring at the arena's current
+    // cycle; frozen lanes freeze there.
+    const Cycle now = a.now_;
+    base = 0;
+    for (LaneId lane = 0; lane < lanes; ++lane) {
+        const unsigned L = a.latency(lane);
+        a.flush(lane);
+        a.flags_[lane] = flags[lane];
+        a.frozenAt_[lane] = now;
+        const std::uint32_t off = head[lane] - base;
+        for (unsigned k = 0; k < L; ++k)
+            a.put(lane, now - L + k, ring[base + (off + k) % L]);
+        if (pushed[lane] != 0)
+            a.put(lane, now, pending[lane]);
+        base += L;
+    }
+    // Derived: the sleeping-lane tally the fastpath accounting reads,
+    // the census list and every lane's pending drain report.
+    a.rederive();
 }
 
 void
@@ -1263,6 +1317,8 @@ CheckpointIO::restore(StateReader &r, std::uint64_t digest,
         l->fault_ = static_cast<LinkFault>(fault);
         l->active_ = active;
         l->syncActivityBits();
+        l->down_ = net.arena_.ref(l->down_.id); // restored freeze bits
+        l->up_ = net.arena_.ref(l->up_.id);
     }
 
     expectTag(r, kTagCascades, "CASC");
@@ -1592,6 +1648,23 @@ restoreCheckpointBytes(const std::uint8_t *data, std::size_t size,
     StateReader r(data, payload);
     return CheckpointIO::restore(r, config_digest, parts,
                                  harness_blob);
+}
+
+std::vector<std::uint8_t>
+saveLaneArenaBytes(const LaneArena &arena)
+{
+    StateWriter w;
+    CheckpointIO::saveArena(w, arena);
+    return w.take();
+}
+
+std::string
+restoreLaneArenaBytes(const std::vector<std::uint8_t> &bytes,
+                      LaneArena &arena)
+{
+    StateReader r(bytes.data(), bytes.size());
+    CheckpointIO::restoreArena(r, arena);
+    return r.ok() ? "" : r.error();
 }
 
 namespace

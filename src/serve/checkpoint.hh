@@ -39,6 +39,7 @@ class OpenLoopDriver;
 class FaultInjector;
 class FaultCampaign;
 class DiagnosisEngine;
+class LaneArena;
 
 /** Checkpoint file format version (bump on layout changes).
  *  v2 added the whole-file integrity footer; v3 added the workload
@@ -162,6 +163,14 @@ readCheckpointFile(const std::string &path,
                    std::uint64_t config_digest,
                    const CheckpointParticipants &parts,
                    std::vector<std::uint8_t> *harness_blob = nullptr);
+/** @} */
+
+/** Just the lane-arena section, as a checkpoint embeds it for a
+ *  network's arena (lane-level tests). The restore target must have
+ *  the saver's lane latencies; returns "" on success. @{ */
+std::vector<std::uint8_t> saveLaneArenaBytes(const LaneArena &arena);
+std::string restoreLaneArenaBytes(const std::vector<std::uint8_t> &bytes,
+                                  LaneArena &arena);
 /** @} */
 
 /** The tmp+fsync+rename write path writeCheckpointFile uses, for

@@ -4,19 +4,16 @@
  *
  * METRO networks are globally clocked ("all the routing components
  * in a network run synchronously from a central clock" — Section 3),
- * so the engine is a plain two-phase cycle loop:
+ * so the engine is a plain cycle loop:
  *
  *   phase 1: tick every component (order-independent — components
- *            read lane heads and push lane tails only);
- *   phase 2: advance every live lane, making this cycle's pushes
- *            visible after their lane latencies elapse. This is not
- *            a per-link loop: links register their arena, and the
- *            engine makes one batched pass per arena
- *            (LaneArena::advanceAll) — for a network, one pass over
- *            one arena. The pass walks only the arena's live-lane
- *            set (lanes whose link is neither asleep nor
- *            unregistered), so its cost follows the live lanes, not
- *            the network size.
+ *            read lane heads and push lane tails only, and a push
+ *            lands in a register no same-cycle read looks at);
+ *   phase 2: the drain fold. Lanes are clock-indexed delay lines
+ *            (see arena.hh): one clock tick per arena moves every
+ *            symbol along. Each arena then reports the lanes whose
+ *            link may have changed sleep eligibility (filed by the
+ *            pushes themselves), and only those links are evaluated.
  *
  * Dispatch is type-segregated: components registered consecutively
  * with the same concrete class (routers, then endpoints, then
@@ -34,35 +31,28 @@
  * latter are no-ops, so the engine skips them — components that
  * report canSleep() stop being ticked until something wake()s them
  * (a push into an attached link, a peer handing them work, or a
- * reconfiguration/fault mutator), and drained links stop being
- * advanced (rotating an all-Empty ring is unobservable) until the
- * next push. The one invariant everything here leans on: *an
- * inactive link holds only Empty symbols* (it deactivates only once
- * both lanes, staged pushes included, are drained, and any push or
- * fault reactivates it first). So phase 2 leaves its lanes out of
- * the live-lane set, and routers and network interfaces skip an
- * Idle port on an inactive link before peeking the arena at all —
- * non-Idle ports are still processed, so idle and receive timeouts
- * fire on schedule. Skipping is *exact*, not approximate: the
+ * reconfiguration/fault mutator), and drained links go to sleep
+ * until the next push. The one invariant everything here leans on:
+ * *an inactive link reads Empty at both ends until something pushes
+ * into it or faults it* — it deactivates only once no non-Empty
+ * symbol is left in either lane's window (this cycle's push
+ * included), every push or fault reactivates it first, and a lane
+ * slot nobody wrote reads Empty by its stale stamp. So the drain
+ * fold never reports its lanes, and routers and network interfaces
+ * skip an Idle port on an inactive link before peeking the arena at
+ * all — non-Idle ports are still processed, so idle and receive
+ * timeouts fire on schedule. Skipping is *exact*, not approximate: the
  * golden wire-trace and both word-conservation identities are
  * byte-/bit-identical with the scheduler on and off (regression:
  * tests/test_quiesce.cc).
  *
- * Sleep evaluation is candidate-driven: instead of re-scanning
- * every link and every component after each cycle (which made the
- * scheduler a measured net loss at saturation, where nothing can
- * ever sleep), the end-of-cycle pass examines only (a) components
- * ticked this cycle whose attached links are all inactive
- * (collected inline by the batch tick loops via noteTicked) and
- * (b) components whose last active link drained in this cycle's
- * advance phase. Anything else provably cannot newly satisfy
- * canSleep(): its own state did not change this cycle, and every
- * canSleep() implementation is vetoed by any active attached link.
- * Missing a candidate would merely delay a sleep (observationally
- * identical — canSleep() true means the skipped ticks produce
- * exactly what syncSkipped accounts); sleeping a non-candidate is
- * impossible since candidates are a superset of the components
- * whose canSleep() input changed.
+ * Sleep evaluation is candidate-driven: the end-of-cycle pass
+ * examines only (a) components ticked this cycle whose attached
+ * links are all inactive (collected by the batch tick loops via
+ * noteTicked) and (b) components whose last active link went to
+ * sleep in this cycle's drain fold. Nothing else can newly satisfy
+ * canSleep(): its own state did not change, and any active attached
+ * link vetoes every canSleep() implementation.
  *
  * Sharded parallel execution (setThreads(n), n > 1; see
  * docs/simulator.md for the full protocol): phase 1 is split into a
@@ -80,29 +70,19 @@
  * the dynamically *pinned* ends of corrupt links, which share the
  * link's corruption PRNG) ticks in the serial section, in
  * registration order. Phase 1's contract — read lane heads, push
- * lane tails, never observe a same-cycle write — is exactly what
- * makes any tick order (including a concurrent one) equivalent, so
- * the split is byte-identical to the serial loop. The cross-thread
- * side effects a tick can have are funnelled through two deferred,
- * fixed-order channels replayed at the phase barrier: link
- * activations (with their wakes; a wake applied at the barrier is
- * byte-equivalent to one applied mid-phase, since mid-cycle wakes
- * always resume at now+1 and count the cycle skipped) and the
- * skipped-tick / sleep-candidate tallies (per-shard accumulation,
- * folded in shard order; sums and histogram merges commute, so
- * every engine counter and metric is thread-count invariant).
- * Shared metric slots are redirected to per-component scratch for
- * the duration (Component::setConcurrentMetrics) and folded back in
- * registration order by syncStats(). Phase 2 reuses the same pool
- * over contiguous lane ranges of the arena (LaneArena::advanceRange),
- * cut each cycle at 64-lane word boundaries so every chunk holds
- * about the same number of *live* lanes (sleeping lanes cost
- * nothing, so a raw lane-count split would leave chunks unbalanced),
- * with per-chunk census charges and drained-lane reports folded at
- * the barrier in chunk order — ascending lane order, identical to
- * the serial pass. Quiescence
- * composes: a shard all of whose members sleep *parks* — the cycle
- * is accounted in bulk and no worker is dispatched for it.
+ * lane tails, never observe a same-cycle write — makes any tick
+ * order (including a concurrent one) equivalent. Cross-thread side
+ * effects go through deferred channels folded at the barrier in
+ * shard order: link activations with their wakes (a mid-cycle wake
+ * resumes at now+1 either way), the skipped-tick / sleep-candidate
+ * tallies, per-component metric scratch (Component::
+ * setConcurrentMetrics, folded by syncStats()), and each shard's own
+ * drain wheel (detail::tlsLaneWriter), read by the serial drain
+ * fold — so a sharded cycle makes one pool dispatch, and every
+ * counter and metric is thread-count invariant (the fold reports
+ * the same lanes whatever the split; the sleep verdicts do not
+ * depend on their order). A shard whose members all sleep *parks*:
+ * the cycle is accounted in bulk, no worker dispatched.
  * setThreads(1) (the default) runs the untouched serial loop.
  *
  * An opt-in host-side profile (setProfile) splits wall time across
@@ -116,7 +96,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -148,14 +127,15 @@ struct EngineProfile
         ParallelTick,  ///< 1a: shards tick on the pool
         BarrierFold,   ///< 1b: per-shard effects fold in shard order
         SerialSection, ///< 1c: non-parallel-safe components
-        LaneAdvance,   ///< 2: live-lane advance + drained-lane folds
+        DrainFold,     ///< 2: arena ticks + drain-wheel walk + link
+                       ///< sleep verdicts
         Finish,        ///< pending link verdicts + sleep pass
         kPhases
     };
 
     static constexpr std::array<const char *, kPhases> kNames = {
         "serial tick", "1a parallel tick", "1b barrier fold",
-        "1c serial section", "2 lane advance", "finish/sleep pass"};
+        "1c serial section", "2 drain fold", "finish/sleep pass"};
 
     /** Names of the TickClass buckets, in enum order. */
     static constexpr std::array<const char *, kTickClasses>
@@ -220,11 +200,11 @@ class Engine : public Scheduler
     }
 
     /**
-     * Register a link to be advanced each cycle. The engine groups
+     * Register a link to be stepped each cycle. The engine groups
      * links by the LaneArena their lanes live in (one shared arena
-     * per network; a private one per standalone link) and advances
-     * each arena with one batched pass, so it records here which
-     * link owns which lane for the link-level sleep evaluation.
+     * per network; a private one per standalone link) and ticks each
+     * arena once per cycle, so it records here which link owns which
+     * lane for the link-level sleep evaluation.
      */
     void
     addLink(Link *link)
@@ -234,12 +214,11 @@ class Engine : public Scheduler
         ArenaGroup &g = groupFor(link->laneArena());
         if (g.laneOwner.size() < g.arena->lanes())
             g.laneOwner.resize(g.arena->lanes(), nullptr);
-        for (const LaneId lane : {link->downLane(), link->upLane()}) {
+        for (const LaneId lane : {link->downLane(), link->upLane()})
             g.laneOwner[lane] = link;
-            g.arena->setFrozen(lane, false);
-        }
-        // The batched advance only re-reports lanes whose state
-        // changed, so evaluate this link's first sleep verdict
+        link->setFrozen(false);
+        // The drain fold only reports lanes whose state changed, so
+        // evaluate this link's first sleep verdict
         // explicitly at the end of the current/next cycle (it may
         // arrive already drained and eligible to sleep right away).
         pendingLinkEval_.push_back(link);
@@ -324,10 +303,10 @@ class Engine : public Scheduler
         std::erase_if(links_, [&gone](Link *l) {
             return gone.count(l) != 0;
         });
-        // Freeze the victims' lanes: the batched advance skips them
-        // outright (a removed link's symbols stay frozen in flight,
-        // exactly as when each link was advanced individually), and
-        // frozen lanes do not count as fast-pathed.
+        // Freeze the victims' lanes: a removed link's symbols stay
+        // in flight as they are (the lanes keep the cycle they froze
+        // at), the drain fold skips them, and frozen lanes do not
+        // count as fast-pathed.
         std::erase_if(pendingLinkEval_, [&gone](Link *l) {
             return gone.count(l) != 0;
         });
@@ -336,8 +315,8 @@ class Engine : public Scheduler
             ArenaGroup *g = findGroup(l->laneArena());
             if (g == nullptr)
                 continue;
+            l->setFrozen(true);
             for (const LaneId lane : {l->downLane(), l->upLane()}) {
-                g->arena->setFrozen(lane, true);
                 if (lane < g->laneOwner.size())
                     g->laneOwner[lane] = nullptr;
             }
@@ -364,9 +343,8 @@ class Engine : public Scheduler
                 l->activate();
         } else {
             // Re-entering lazy mode: idle links sit on untouched
-            // drained lanes the batched advance will never
-            // re-report, so seed one explicit evaluation of every
-            // registered link.
+            // drained lanes the drain fold will never report, so
+            // seed one explicit evaluation of every registered link.
             pendingLinkEval_.assign(links_.begin(), links_.end());
         }
     }
@@ -375,7 +353,7 @@ class Engine : public Scheduler
     bool quiescence() const { return quiesce_; }
 
     /**
-     * Set the phase-1/phase-2 worker count (1 = the serial loop,
+     * Set the phase-1 worker count (1 = the serial loop,
      * the default; 0 = one per hardware thread). Simulation output
      * is byte-identical at every thread count — threading trades
      * wall clock only, never results (regression:
@@ -431,7 +409,7 @@ class Engine : public Scheduler
     /** Component ticks elided by the scheduler (monotone). */
     std::uint64_t ticksSkipped() const { return ticksSkipped_; }
 
-    /** Link advances elided by the all-Empty fast path (monotone). */
+    /** Link-cycles spent asleep (monotone; two lanes per link). */
     std::uint64_t linksFastpathed() const { return linksFastpathed_; }
 
     /**
@@ -736,39 +714,8 @@ class Engine : public Scheduler
         ticksSkipped_ += ctx.skipped;
         lap<kProfile>(EngineProfile::SerialTick, t);
 
-        // Phase 2: one batched pass per arena over its live lanes
-        // (LaneArena::advanceAll); sleeping links' lanes are not
-        // visited and are accounted here (two lanes per link). Lane
-        // order within an arena is link-creation order,
-        // observationally interchangeable with the registration
-        // order the per-link loop used: lanes only interact through
-        // the components that read and push them in phase 1.
-        if (quiesce_) {
-            // Sleep evaluation folds in, links before components:
-            // component canSleep() implementations require their
-            // attached links to be fast-pathed (drained) first.
-            // advanceAll reports the lanes whose sleep eligibility
-            // may have changed (newly drained, or drained with a
-            // push/census step this cycle) — an untouched drained
-            // lane's verdict cannot differ from last cycle's; a
-            // deactivation that drops an end component's last
-            // active link surfaces that component as a sleep
-            // candidate (it cannot have been collected in phase 1 —
-            // its link was still active then).
-            for (ArenaGroup &g : arenaGroups_) {
-                linksFastpathed_ += g.arena->sleepingLanes() / 2;
-                drained_.clear();
-                g.arena->advanceAll(&drained_);
-                for (const LaneId lane : drained_)
-                    evalDrainedLane(g, lane);
-            }
-        } else {
-            for (ArenaGroup &g : arenaGroups_) {
-                linksFastpathed_ += g.arena->sleepingLanes() / 2;
-                g.arena->advanceAll(nullptr);
-            }
-        }
-        lap<kProfile>(EngineProfile::LaneAdvance, t);
+        drainFold();
+        lap<kProfile>(EngineProfile::DrainFold, t);
         finishCycle();
         lap<kProfile>(EngineProfile::Finish, t);
     }
@@ -784,10 +731,8 @@ class Engine : public Scheduler
      *       sleep candidates;
      *   1c. serial section: non-parallel-safe components tick in
      *       registration order, activations inline;
-     *    2. lane advance, chunked across the pool by live-lane count
-     *       for arenas with enough live lanes; census charges and
-     *       drained reports fold at the barrier in chunk order (=
-     *       ascending lane order, the serial pass's order).
+     *    2. the drain fold (serial, as in stepSerial), reading every
+     *       shard's drain wheel.
      */
     template <bool kProfile>
     void
@@ -859,31 +804,36 @@ class Engine : public Scheduler
         }
         lap<kProfile>(EngineProfile::SerialSection, t);
 
-        // 2. Advance, chunked where worthwhile.
-        for (ArenaGroup &g : arenaGroups_) {
-            linksFastpathed_ += g.arena->sleepingLanes() / 2;
-            if (cutChunks(g)) {
-                curGroup_ = &g;
-                pool_.run(g.liveChunks, &chunkTask, this);
-                curGroup_ = nullptr;
-                std::uint64_t *wire = g.arena->wireDiscardCounter();
-                for (unsigned k = 0; k < g.liveChunks; ++k) {
-                    LaneChunk &ch = g.chunks[k];
-                    if (wire != nullptr)
-                        *wire += ch.discards;
-                    for (const LaneId lane : ch.drained)
-                        evalDrainedLane(g, lane);
-                }
-            } else {
-                drained_.clear();
-                g.arena->advanceAll(quiesce_ ? &drained_ : nullptr);
-                for (const LaneId lane : drained_)
-                    evalDrainedLane(g, lane);
-            }
-        }
-        lap<kProfile>(EngineProfile::LaneAdvance, t);
+        // 2. Drain fold.
+        drainFold();
+        lap<kProfile>(EngineProfile::DrainFold, t);
         finishCycle();
         lap<kProfile>(EngineProfile::Finish, t);
+    }
+
+    /**
+     * Phase 2, both engines: tick each arena, then evaluate the links
+     * of the lanes it reports (LaneArena::collectDrained); sleeping
+     * links are accounted here. Links go before components, whose
+     * canSleep() needs their links asleep: a deactivation that drops
+     * an end's last active link makes that end a sleep candidate.
+     */
+    void
+    drainFold()
+    {
+        for (ArenaGroup &g : arenaGroups_) {
+            linksFastpathed_ += g.arena->sleepingLanes() / 2;
+            g.arena->tick();
+            drained_.clear();
+            g.arena->collectDrained(quiesce_ ? &drained_ : nullptr);
+            // The reported lanes' links are scattered through memory:
+            // request them all before evaluating any, so the cache
+            // misses overlap instead of queueing one by one.
+            for (const LaneId lane : drained_)
+                __builtin_prefetch(g.laneOwner[lane]);
+            for (const LaneId lane : drained_)
+                evalDrainedLane(g, lane);
+        }
     }
 
     /** Shared cycle tail: pending link evaluations, the candidate
@@ -893,7 +843,7 @@ class Engine : public Scheduler
     {
         if (quiesce_) {
             // Freshly registered links get one explicit verdict
-            // (their lanes may never surface from the advance).
+            // (their lanes may never surface from the drain fold).
             if (!pendingLinkEval_.empty()) {
                 for (Link *l : pendingLinkEval_) {
                     if (l->active() && l->canSleepNow()) {
@@ -925,8 +875,9 @@ class Engine : public Scheduler
 
     /** Run one shard's slices (worker or caller thread). Effects
      *  that must not race — activations/wakes — are recorded in the
-     *  shard's buffers via the thread-local deferral hook, and so
-     *  is profiled time. */
+     *  shard's buffers via the thread-local deferral hook, drain
+     *  events in the shard's own drain wheel, and profiled time in
+     *  the shard. */
     template <bool kProfile>
     void
     runShard(Shard &s)
@@ -936,7 +887,15 @@ class Engine : public Scheduler
         if (quiesce_)
             ctx.sleepCandidates = &s.candidates;
         detail::tlsDeferredActivations = &s.activations;
+        const auto writer =
+            1 + static_cast<unsigned>(&s - shards_.data());
+        detail::tlsLaneWriter = writer;
         tickRuns<kProfile>(s.slices, ctx, &s.classNs);
+        detail::tlsLaneWriter = 0;
+        if (quiesce_) {
+            for (ArenaGroup &g : arenaGroups_)
+                g.arena->prefilter(writer);
+        }
         detail::tlsDeferredActivations = nullptr;
         s.skipped = ctx.skipped;
     }
@@ -947,19 +906,6 @@ class Engine : public Scheduler
     {
         auto *e = static_cast<Engine *>(ctx);
         e->runShard<kProfile>(*e->liveShards_[k]);
-    }
-
-    static void
-    chunkTask(void *ctx, unsigned k)
-    {
-        auto *e = static_cast<Engine *>(ctx);
-        ArenaGroup &g = *e->curGroup_;
-        LaneChunk &ch = g.chunks[k];
-        ch.discards = 0;
-        ch.drained.clear();
-        g.arena->advanceRange(ch.begin, ch.end,
-                              e->quiesce_ ? &ch.drained : nullptr,
-                              &ch.discards);
     }
 
     void
@@ -994,10 +940,8 @@ class Engine : public Scheduler
      *   4. one shard per group when they fit, else pack consecutive
      *      groups into ≤ target balanced shards (cuts stay on
      *      group, i.e. hint, boundaries);
-     *   5. assign shard ids and awake counts.
-     *
-     * Phase-2 chunks are not part of the plan: they follow the
-     * live-lane set, so cutChunks recuts them every cycle.
+     *   5. assign shard ids and awake counts, and give every arena
+     *      one drain wheel per shard.
      */
     void
     rebuildPlan()
@@ -1117,31 +1061,20 @@ class Engine : public Scheduler
                 }
             }
         }
+        for (ArenaGroup &g : arenaGroups_)
+            g.arena->setWriters(static_cast<unsigned>(shards_.size()) + 1);
     }
 
-    /** One arena's links, for the batched advance: which registered
-     *  link owns each lane (null for frozen/unregistered lanes),
-     *  plus this cycle's phase-2 chunk carve-up with per-chunk fold
-     *  buffers (written by one worker each, read at the barrier). */
-    struct LaneChunk
-    {
-        LaneId begin = 0;
-        LaneId end = 0;
-        std::uint64_t discards = 0;
-        std::vector<LaneId> drained;
-    };
-
+    /** One arena's links, for the drain fold: which registered link
+     *  owns each lane (null for frozen/unregistered lanes). */
     struct ArenaGroup
     {
         LaneArena *arena;
         std::vector<Link *> laneOwner;
-        std::vector<LaneChunk> chunks;
-        /** Chunks cut for the current cycle (prefix of chunks). */
-        unsigned liveChunks = 0;
     };
 
-    /** Sleep-evaluate one freshly drained lane's link (phase-2
-     *  fold; identical on the serial and sharded paths). */
+    /** Sleep-evaluate the link of one lane the drain fold
+     *  reported. */
     void
     evalDrainedLane(ArenaGroup &g, LaneId lane)
     {
@@ -1151,51 +1084,6 @@ class Engine : public Scheduler
             noteQuietEnd(l->wakeA());
             noteQuietEnd(l->wakeB());
         }
-    }
-
-    /**
-     * Cut this cycle's phase-2 chunks: ≤ threads contiguous lane
-     * ranges, split at 64-lane word boundaries of the live-lane set
-     * so each holds about live/threads live lanes. @return false
-     * when the arena has too few live lanes for a chunked advance to
-     * beat its dispatch cost (the caller then advances serially).
-     * The cut only moves work between workers: the fold is in lane
-     * order whatever the boundaries.
-     */
-    bool
-    cutChunks(ArenaGroup &g)
-    {
-        const auto words = g.arena->liveWords();
-        std::size_t live = 0;
-        for (const std::uint64_t w : words)
-            live += static_cast<std::size_t>(std::popcount(w));
-        if (live < kMinLanesForChunkedAdvance)
-            return false;
-        if (g.chunks.size() != threads_)
-            g.chunks.resize(threads_);
-        const auto lanes = static_cast<LaneId>(g.arena->lanes());
-        unsigned k = 0;
-        LaneId begin = 0;
-        std::size_t cum = 0;
-        for (std::size_t w = 0; w < words.size() && k + 1 < threads_;
-             ++w) {
-            cum += static_cast<std::size_t>(std::popcount(words[w]));
-            if (cum * threads_ >= live * (k + 1)) {
-                const auto end = std::min(
-                    static_cast<LaneId>((w + 1) * 64), lanes);
-                g.chunks[k].begin = begin;
-                g.chunks[k].end = end;
-                ++k;
-                begin = end;
-            }
-        }
-        if (begin < lanes) {
-            g.chunks[k].begin = begin;
-            g.chunks[k].end = lanes;
-            ++k;
-        }
-        g.liveChunks = k;
-        return k > 1;
     }
 
     /** A link just deactivated: its end component is a sleep
@@ -1215,7 +1103,7 @@ class Engine : public Scheduler
             if (g.arena == arena)
                 return g;
         }
-        arenaGroups_.push_back({arena, {}, {}, 0});
+        arenaGroups_.push_back({arena, {}});
         return arenaGroups_.back();
     }
 
@@ -1228,11 +1116,6 @@ class Engine : public Scheduler
         }
         return nullptr;
     }
-
-    /** Below this many live lanes, a chunked advance costs more in
-     *  dispatch than it wins; small or mostly-sleeping arenas stay
-     *  serial. */
-    static constexpr std::size_t kMinLanesForChunkedAdvance = 64;
 
     std::vector<Component *> components_;
     std::vector<TickRun> runs_;
@@ -1257,7 +1140,6 @@ class Engine : public Scheduler
     std::vector<TickRun> serialRuns_;
     std::vector<Shard *> liveShards_;
     std::unordered_set<Component *> pinned_;
-    ArenaGroup *curGroup_ = nullptr;
     TickPool pool_;
     std::uint64_t shardCyclesParked_ = 0;
     /** @} */

@@ -20,10 +20,11 @@
  * turn delay, vtd). A lane of latency L delivers a symbol pushed in
  * cycle t to the reader in cycle t + L.
  *
- * Lane storage lives in a LaneArena (see arena.hh). Networks hand
- * every link the shared network-wide arena so the engine's advance
- * pass streams through one flat slot array; a standalone link (unit
- * tests) owns a private arena and behaves identically.
+ * Lane storage lives in a LaneArena (see arena.hh): a clock-indexed
+ * delay line per lane, so lanes need no per-cycle pass of their own.
+ * Networks hand every link the shared network-wide arena, which the
+ * engine ticks once per cycle; a standalone link (unit tests) owns a
+ * private arena and behaves identically.
  *
  * Links also host fault state (dead / corrupting lanes) for the
  * fault-tolerance experiments.
@@ -114,8 +115,8 @@ class Link
             arena = ownArena_.get();
         }
         arena_ = arena;
-        down_ = arena_->allocate(down_lat);
-        up_ = arena_->allocate(up_lat);
+        down_ = arena_->ref(arena_->allocate(down_lat));
+        up_ = arena_->ref(arena_->allocate(up_lat));
     }
 
     /** Network-unique identifier. */
@@ -203,48 +204,52 @@ class Link
                                          : arena_->headKind(up_);
     }
 
-    /** Symbols in flight per lane (0 means the reader will see
-     *  Empty; lets pollers skip the read entirely). */
-    unsigned downOccupied() const { return arena_->occupied(down_); }
-    unsigned upOccupied() const { return arena_->occupied(up_); }
+    /** Non-Empty symbols in flight per lane, this cycle's push
+     *  included (0 means the reader will see Empty). */
+    unsigned downOccupied() const { return arena_->occupied(down_.id); }
+    unsigned upOccupied() const { return arena_->occupied(up_.id); }
     /** @} */
 
     /** Symbols of one kind currently in flight across both lanes. */
     unsigned
     inFlight(SymbolKind kind) const
     {
-        return arena_->countKind(down_, kind) +
-               arena_->countKind(up_, kind);
+        return arena_->countKind(down_.id, kind) +
+               arena_->countKind(up_.id, kind);
     }
 
-    /**
-     * Advance both lanes by one cycle. The engine no longer calls
-     * this per link — its phase 2 is LaneArena::advanceAll, one
-     * batched pass over the shared arena — but hand-driven links
-     * (unit tests, standalone harnesses) step through the exact
-     * same per-lane machinery, fault census included.
-     */
+    /** Engine only: freeze or unfreeze both lanes (unregistered). */
+    void
+    setFrozen(bool on)
+    {
+        arena_->setFrozen(down_.id, on);
+        arena_->setFrozen(up_.id, on);
+        down_ = arena_->ref(down_.id);
+        up_ = arena_->ref(up_.id);
+    }
+
+    /** Hand-drive a link on its private arena (unit tests): one
+     *  clock tick, then the census step the engine's fold takes. */
     void
     advance()
     {
-        arena_->censusStep(down_);
-        arena_->censusStep(up_);
-        arena_->advance(down_);
-        arena_->advance(up_);
+        arena_->tick();
+        arena_->censusStep(down_.id);
+        arena_->censusStep(up_.id);
     }
 
     /** A→B lane latency in cycles. */
-    unsigned downLatency() const { return arena_->latency(down_); }
+    unsigned downLatency() const { return arena_->latency(down_.id); }
 
     /** B→A lane latency in cycles. */
-    unsigned upLatency() const { return arena_->latency(up_); }
+    unsigned upLatency() const { return arena_->latency(up_.id); }
 
     /** Clear both lanes' in-flight symbols (fault injection). */
     void
     flush()
     {
-        arena_->flush(down_);
-        arena_->flush(up_);
+        arena_->flush(down_.id);
+        arena_->flush(up_.id);
     }
 
     /** Current fault mode. */
@@ -254,7 +259,7 @@ class Link
      * Set the fault mode. A Dead link delivers nothing: readers
      * and peeks see Empty, and the in-flight symbols drain off the
      * pipe exits unread over the next few cycles (charged to the
-     * wire-discard counter in advance()).
+     * wire-discard counter by the census step after each tick).
      */
     void
     setFault(LinkFault fault)
@@ -270,11 +275,11 @@ class Link
         fault_ = fault;
         const bool now_dead = fault == LinkFault::Dead;
         if (now_dead && !was_dead) {
-            arena_->setCensus(down_, LaneCensus::DeadPending);
-            arena_->setCensus(up_, LaneCensus::DeadPending);
+            arena_->setCensus(down_.id, LaneCensus::DeadPending);
+            arena_->setCensus(up_.id, LaneCensus::DeadPending);
         } else if (!now_dead && was_dead) {
-            arena_->setCensus(down_, LaneCensus::HealCharge);
-            arena_->setCensus(up_, LaneCensus::HealCharge);
+            arena_->setCensus(down_.id, LaneCensus::HealCharge);
+            arena_->setCensus(up_.id, LaneCensus::HealCharge);
         }
         // A fault lands on a fast-pathed link: reactivate it so the
         // death census runs (and both end components observe the
@@ -296,8 +301,8 @@ class Link
 
     /**
      * Activity protocol (see docs/simulator.md). A link starts
-     * active; the engine fast-paths it (skips advance()) once both
-     * lanes drain, and any push — or a setFault — reactivates it,
+     * active; the engine puts it to sleep once both lanes drain,
+     * and any push — or a setFault — reactivates it,
      * waking the components attached to its two ends so they see
      * the arriving symbols. Builders register the end components
      * via setWakeA/setWakeB; a link with no wake targets (unit
@@ -309,19 +314,18 @@ class Link
      */
     bool active() const { return active_; }
 
-    /** Both lanes drained and no fault edge pending: advance() is
-     *  unobservable until the next push. */
+    /** Both lanes drained and no fault edge pending: the link reads
+     *  Empty at both ends until the next push. */
     bool
     canSleepNow() const
     {
-        return arena_->occupied(down_) == 0 &&
-               arena_->occupied(up_) == 0 &&
-               !arena_->censusEdgePending(down_) &&
-               !arena_->censusEdgePending(up_);
+        return arena_->drained(down_.id) && arena_->drained(up_.id) &&
+               !arena_->censusEdgePending(down_.id) &&
+               !arena_->censusEdgePending(up_.id);
     }
 
-    /** Engine only: stop advancing this link until reactivation.
-     *  Pauses both arena lanes so advanceAll skips them. */
+    /** Engine only: put this link to sleep until reactivation.
+     *  Pauses both arena lanes so the drain fold skips them. */
     void
     deactivate()
     {
@@ -329,8 +333,8 @@ class Link
             return;
         active_ = false;
         syncActivityBits();
-        arena_->setPaused(down_, true);
-        arena_->setPaused(up_, true);
+        arena_->setPaused(down_.id, true);
+        arena_->setPaused(up_.id, true);
         if (wakeA_ != nullptr)
             --wakeA_->schedActiveLinks_;
         if (wakeB_ != nullptr)
@@ -346,8 +350,8 @@ class Link
         if (!active_) {
             active_ = true;
             syncActivityBits();
-            arena_->setPaused(down_, false);
-            arena_->setPaused(up_, false);
+            arena_->setPaused(down_.id, false);
+            arena_->setPaused(up_.id, false);
             if (wakeA_ != nullptr)
                 ++wakeA_->schedActiveLinks_;
             if (wakeB_ != nullptr)
@@ -416,10 +420,11 @@ class Link
     /** @} */
     /** @} */
 
-    /** Arena coordinates (engine: batched advance registration). @{ */
+    /** Arena coordinates (engine: lane ownership for the drain
+     *  fold). @{ */
     LaneArena *laneArena() const { return arena_; }
-    LaneId downLane() const { return down_; }
-    LaneId upLane() const { return up_; }
+    LaneId downLane() const { return down_.id; }
+    LaneId upLane() const { return up_.id; }
     /** @} */
 
     /** Engine only: where setFault reports that the shard plan went
@@ -505,13 +510,16 @@ class Link
     /** Lane storage: the owning network's arena, or ownArena_. */
     LaneArena *arena_ = nullptr;
     std::unique_ptr<LaneArena> ownArena_;
-    LaneId down_ = 0;
-    LaneId up_ = 0;
+    /** Lane handles (see LaneArena::LaneRef; re-fetched whenever
+     *  the lanes freeze or unfreeze). */
+    LaneArena::LaneRef down_{};
+    LaneArena::LaneRef up_{};
     LinkFault fault_ = LinkFault::None;
     Xoshiro256 faultRng_;
     /** Activity flag (see activate()); starts active, the engine's
      *  first sleep evaluation fast-paths drained links. Mirrored
-     *  into the arena's per-lane pause bits for advanceAll and into
+     *  into the arena's per-lane pause bits for the drain fold and
+     *  into
      *  the end components' port-activity masks (activityA_/B_). */
     bool active_ = true;
     Component *wakeA_ = nullptr;

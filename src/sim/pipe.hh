@@ -9,13 +9,11 @@
  * "variable turn delay" treats each inter-router wire as an integral
  * number of pipeline registers (Section 5.1).
  *
- * Storage lives in a LaneArena (see arena.hh) — the flat
- * structure-of-arrays backing every lane of a network shares. Pipe
- * is the standalone single-lane convenience over a private arena:
- * unit tests and ad-hoc harnesses construct Pipes directly; the
- * simulation proper (Link, Network) allocates lanes straight out of
- * the network-wide arena so the engine's advance pass streams
- * through contiguous memory.
+ * Storage lives in a LaneArena (see arena.hh), a clock-indexed
+ * delay line. Pipe is the standalone single-lane convenience over a
+ * private arena for unit tests and ad-hoc harnesses; the simulation
+ * proper (Link, Network) allocates lanes straight out of the
+ * network-wide arena, which the engine ticks once per cycle.
  */
 
 #ifndef METRO_SIM_PIPE_HH
@@ -32,8 +30,8 @@ namespace metro
  * with a compile-time-unknown but fixed latency.
  *
  * Usage discipline per cycle: any number of head() reads, at most
- * one push(), then exactly one advance() issued by the engine after
- * every component has ticked. Components therefore never observe
+ * one push(), then exactly one advance(). A push lands in a register
+ * the same cycle's head() does not read, so components never observe
  * values pushed in the current cycle, which makes component tick
  * order irrelevant.
  */
@@ -48,37 +46,29 @@ class Pipe
     /** Latency in cycles. */
     unsigned latency() const { return arena_.latency(lane_); }
 
-    /**
-     * The symbol that was pushed latency() cycles ago. Returned by
-     * value: push() may legally overwrite the head slot in the same
-     * cycle (components read inputs before writing outputs).
-     */
+    /** The symbol pushed latency() cycles ago (Empty if none). */
     Symbol head() const { return arena_.head(lane_); }
 
     /**
-     * Occupy this cycle's input slot. At most one push per cycle;
-     * pushing twice in one cycle is a simulator bug. The pushed
-     * value is staged and only committed by advance(), so
-     * same-cycle readers — regardless of component tick order —
+     * Occupy this cycle's input register. At most one push per
+     * cycle; pushing twice in one cycle is a simulator bug.
+     * Same-cycle readers — regardless of component tick order —
      * never observe it.
      */
     void push(const Symbol &s) { arena_.push(lane_, s); }
 
-    /** Rotate the ring: called once per cycle by the engine. */
-    void advance() { arena_.advance(lane_); }
+    /** End the cycle: one clock tick. */
+    void advance() { arena_.tick(); }
 
-    /**
-     * Non-Empty symbols in flight, including a staged push. While
-     * this is 0 every advance() is pure head rotation of an
-     * all-Empty ring — unobservable, which is what lets the engine
-     * fast-path drained lanes (see Link::canSleepNow).
-     */
+    /** Non-Empty symbols in flight, including this cycle's push.
+     *  While this is 0 the lane reads Empty until the next push
+     *  (see Link::canSleepNow). */
     unsigned occupied() const { return arena_.occupied(lane_); }
 
     /**
-     * Count in-flight symbols of one kind, including a staged push
-     * not yet committed by advance(). Passive introspection for the
-     * observability layer (in-flight censuses at drain time).
+     * Count in-flight symbols of one kind, including this cycle's
+     * push. Passive introspection for the observability layer
+     * (in-flight censuses at drain time).
      */
     unsigned
     countKind(SymbolKind kind) const

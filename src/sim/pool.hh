@@ -3,8 +3,8 @@
  * A persistent worker pool for the sharded engine's per-cycle
  * fan-out (see engine.hh).
  *
- * The engine dispatches two tiny task batches per cycle (phase-1
- * shards, phase-2 lane chunks), so the pool is built around cheap
+ * The engine dispatches one tiny task batch per cycle (the phase-1
+ * shards), so the pool is built around cheap
  * epoch-based hand-off rather than a task queue: run() publishes a
  * batch (a plain function pointer + context, no allocation), bumps
  * an epoch under the wake mutex, and the calling thread *joins the

@@ -206,8 +206,9 @@ expectStageAlignedPlan(Network &net, unsigned threads)
         }
         prev = shard;
     }
-    if (parallel_members > threads)
+    if (parallel_members > threads) {
         EXPECT_GT(shards, threads);
+    }
 
     std::size_t sharded = 0;
     std::size_t largest = 0;
@@ -421,15 +422,17 @@ runRemovalScenario(unsigned threads, std::uint64_t seed)
 
     Component *victim = &net->router(2);
     net->engine().removeComponents({&victim, 1});
-    if (threads > 1)
+    if (threads > 1) {
         EXPECT_EQ(net->engine().shardOf(victim), -1);
+    }
 
     burst(2);
     net->engine().run(400);
 
     net->engine().addComponent(victim);
-    if (threads > 1)
+    if (threads > 1) {
         EXPECT_GE(net->engine().shardOf(victim), 0);
+    }
 
     burst(3);
     net->engine().run(4000); // drain + idle coda
